@@ -69,7 +69,7 @@ void BM_NetworkRoundsPerSecond(benchmark::State& state) {
   const uint32_t peers = static_cast<uint32_t>(state.range(0));
   sim::EngineOptions eopts;
   eopts.seed = 7;
-  eopts.end_round = INT64_MAX / 2;
+  eopts.end_round = INT32_MAX;  // the network's round bound
   sim::Engine engine(eopts);
   const auto profiles = churn::ProfileSet::Paper();
   backup::SystemOptions opts;
@@ -142,7 +142,7 @@ BENCHMARK(BM_MonitorObserveMemoized)->Arg(256)->Arg(1024);
 struct WarmWorld {
   explicit WarmWorld(uint32_t peers) : profiles(churn::ProfileSet::Paper()) {
     eopts.seed = 7;
-    eopts.end_round = INT64_MAX / 2;
+    eopts.end_round = INT32_MAX;  // the network's round bound
     engine = std::make_unique<sim::Engine>(eopts);
     backup::SystemOptions opts;
     opts.num_peers = peers;

@@ -8,12 +8,15 @@
 //   ./bench_trajectory --quick --trace-out=cell.json # Chrome trace artifact
 //
 // The document carries: build metadata, the grid shape, end-to-end wall
-// time and peers*rounds/sec throughput, the per-phase wall-time breakdown
-// from the traced pass, monitor-query micro numbers derived from the trace
-// counters, the repair-pool sampling funnel (draws, reject attribution,
-// acceptance and score-memo rates), and the measured tracing overhead (enabled-vs-disabled wall
-// time plus the nanosecond cost of a TRACE_SCOPE with no session
-// installed). Timing varies run to run; everything else is deterministic.
+// time, peers*rounds/sec throughput and process peak RSS, the per-phase
+// wall-time breakdown from the traced pass, monitor-query micro numbers
+// derived from the trace counters, the repair-pool sampling funnel (draws,
+// reject attribution, acceptance and score-memo rates), and the measured
+// tracing overhead (enabled-vs-disabled wall time plus the nanosecond cost
+// of a TRACE_SCOPE with no session installed). Timing and peak RSS vary run
+// to run; everything else is deterministic.
+
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -106,6 +109,14 @@ double CpuSeconds() {
 #endif
 }
 
+/// Peak resident set size of this process so far, in MiB (Linux reports
+/// ru_maxrss in KiB).
+double PeakRssMiB() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 struct GridTiming {
   double wall_seconds = 0.0;
   double cpu_seconds = 0.0;
@@ -163,6 +174,7 @@ struct BenchDoc {
   int threads = 0;
   double wall_seconds = 0.0;
   double peer_rounds_per_second = 0.0;
+  double peak_rss_mb = 0.0;
   std::vector<trace::PhaseStat> phases;
   std::vector<trace::CounterStat> counters;
   double observe_calls = 0.0;
@@ -218,7 +230,8 @@ void WriteBenchJson(const BenchDoc& d, std::ostream& os) {
   os << "  \"totals\": {\n";
   os << "    \"wall_seconds\": " << Num(d.wall_seconds) << ",\n";
   os << "    \"peer_rounds_per_second\": " << Num(d.peer_rounds_per_second)
-     << "\n";
+     << ",\n";
+  os << "    \"peak_rss_mb\": " << Num(d.peak_rss_mb) << "\n";
   os << "  },\n";
   os << "  \"phases\": [\n";
   for (size_t i = 0; i < d.phases.size(); ++i) {
@@ -509,11 +522,16 @@ int main(int argc, char** argv) {
                  trace_out.c_str());
   }
 
+  // Every grid, cell and artifact run of this process is done: the peak
+  // covers all of them.
+  doc.peak_rss_mb = PeakRssMiB();
+
   trace::WriteSummary(*session, std::cerr);
   std::fprintf(stderr,
-               "# wall %.3fs | %.0f peer-rounds/s | trace overhead %+.2f%% "
-               "cpu | disabled TRACE_SCOPE %.2f ns (%.3f%% of this grid)\n",
-               doc.wall_seconds, doc.peer_rounds_per_second,
+               "# wall %.3fs | %.0f peer-rounds/s | peak RSS %.1f MiB | trace "
+               "overhead %+.2f%% cpu | disabled TRACE_SCOPE %.2f ns (%.3f%% of "
+               "this grid)\n",
+               doc.wall_seconds, doc.peer_rounds_per_second, doc.peak_rss_mb,
                doc.overhead_percent, doc.disabled_scope_ns,
                doc.disabled_overhead_percent);
 

@@ -7,9 +7,10 @@
     scripts/bench_compare.py --trajectory --csv traj.csv BENCH_*.json
 
 Pairwise mode compares end-to-end wall time, throughput, and the per-phase
-wall-time breakdown; a phase whose total grew by more than --threshold
-(default 10%) is flagged, as is (with --share-points N) a phase whose share
-of the dominant phase rose by more than N percentage points - the
+wall-time breakdown, and prints process peak RSS (never flagged); a phase
+whose total grew by more than --threshold (default 10%) is flagged, as is
+(with --share-points N) a phase whose share of the dominant phase rose by
+more than N percentage points - the
 share-based check is robust to uniformly slow runners, where every total
 inflates but the shape of the profile should not. Phases that carry a
 negligible share of the runtime are skipped (timer noise dominates them),
@@ -22,9 +23,11 @@ by side.
 (globbed from the repo root when no files are given; quick variants are
 skipped) and renders one per-phase share table across PRs as markdown, plus
 CSV with --csv. It flags nothing - it is the longitudinal view of how each
-PR moved the profile. The repair/pool funnel rows are the union of every
-document's "repair_pool" keys in first-seen order; a counter a document
-does not carry renders as "n/a", never an error, because the funnel schema
+PR moved the profile. A document without a "peak_rss_mb" total (the field
+is newer than BENCH_9.json) shows "n/a" for it, here and in pairwise mode.
+The repair/pool funnel rows are the union of every document's
+"repair_pool" keys in first-seen order; a counter a document does not
+carry renders as "n/a", never an error, because the funnel schema
 is allowed to change when the sampler does (PR 9 retired reject_dup /
 reject_not_live / reject_offline - structurally impossible under the
 eligible-candidate index - and introduced partner_excluded /
@@ -86,6 +89,15 @@ def doc_label(path):
     return os.path.splitext(os.path.basename(path))[0]
 
 
+def peak_rss(doc):
+    """Peak RSS in MiB, or None for documents that predate the field."""
+    return doc.get("totals", {}).get("peak_rss_mb")
+
+
+def fmt_or_na(value, spec):
+    return "n/a" if value is None else format(value, spec)
+
+
 def trajectory(paths, csv_path):
     """Per-phase share table across every committed trajectory document."""
     if not paths:
@@ -118,6 +130,8 @@ def trajectory(paths, csv_path):
     rows.append(["peer_rounds_per_second"] +
                 [f"{d.get('totals', {}).get('peer_rounds_per_second', 0.0):.0f}"
                  for d in docs])
+    rows.append(["peak_rss_mb"] +
+                [fmt_or_na(peak_rss(d), ".1f") for d in docs])
     for name in phase_names:
         rows.append([f"phase {name} (share %)"] +
                     [f"{s[name]:.1f}" if name in s else "-" for s in per_doc])
@@ -236,6 +250,15 @@ def main():
                d, flagged)
         if flagged:
             regressions.append(f"throughput {d:.1f}%")
+    # Peak RSS is shown, never flagged: it moves with the allocator and the
+    # thread count, and older documents do not carry it.
+    old_rss, new_rss = peak_rss(base), peak_rss(cur)
+    if old_rss is not None and new_rss is not None:
+        report("totals/peak_rss_mb", old_rss, new_rss,
+               pct(old_rss, new_rss), False)
+    else:
+        print(f"   {'totals/peak_rss_mb':<34} {fmt_or_na(old_rss, '.3f'):>14}"
+              f" -> {fmt_or_na(new_rss, '.3f'):>14}")
 
     # --- per-phase breakdown ----------------------------------------------
     base_phases = {p["name"]: p for p in base.get("phases", [])}

@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for scripts/bench_compare.py --trajectory on mixed funnel
-schemas.
+"""Unit tests for scripts/bench_compare.py on mixed document schemas.
 
 The repair/pool funnel schema changes when the sampler does: PR 7 introduced
 the section with rejection-sampler buckets (reject_dup, reject_not_live,
@@ -8,7 +7,9 @@ reject_offline), PR 9 retired those - structurally impossible under the
 eligible-candidate index - and added partner_excluded / index_exhausted.
 PR 6 predates the section entirely. The trajectory view must render the
 union of keys in first-seen order and say "n/a" for anything a document
-does not carry, never fail.
+does not carry, never fail. The same holds for the "peak_rss_mb" total,
+which older documents lack: both modes print it (or "n/a") and neither
+ever flags it.
 
 Run directly (python3 scripts/bench_compare_test.py) or via ctest
 (bench_compare_test).
@@ -26,7 +27,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_compare  # noqa: E402
 
 
-def doc(label, repair_pool=None, wall=1.0, throughput=1e6):
+def doc(label, repair_pool=None, wall=1.0, throughput=1e6, peak_rss_mb=None):
     d = {
         "schema_version": 1,
         "bench": "trajectory",
@@ -41,8 +42,20 @@ def doc(label, repair_pool=None, wall=1.0, throughput=1e6):
     }
     if repair_pool is not None:
         d["repair_pool"] = repair_pool
+    if peak_rss_mb is not None:
+        d["totals"]["peak_rss_mb"] = peak_rss_mb
     d["_label"] = label
     return d
+
+
+def write_docs(tmp, docs):
+    paths = []
+    for d in docs:
+        path = os.path.join(tmp, d["_label"] + ".json")
+        with open(path, "w") as f:
+            json.dump({k: v for k, v in d.items() if k != "_label"}, f)
+        paths.append(path)
+    return paths
 
 
 # The three schema generations the committed BENCH_*.json documents span.
@@ -72,14 +85,8 @@ INDEX = doc("BENCH_9", {
 
 class TrajectoryMixedSchemaTest(unittest.TestCase):
     def render(self, docs, csv_path=None):
-        paths = []
         with tempfile.TemporaryDirectory() as tmp:
-            for d in docs:
-                path = os.path.join(tmp, d["_label"] + ".json")
-                with open(path, "w") as f:
-                    json.dump({k: v for k, v in d.items() if k != "_label"},
-                              f)
-                paths.append(path)
+            paths = write_docs(tmp, docs)
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 status = bench_compare.trajectory(paths, csv_path)
@@ -148,6 +155,10 @@ class TrajectoryMixedSchemaTest(unittest.TestCase):
         self.assertEqual(by_label["pool index_exhausted"],
                          ["n/a", "n/a", "0"])
 
+    def test_peak_rss_row_is_na_for_older_documents(self):
+        text = self.render([INDEX, doc("BENCH_14", peak_rss_mb=115.5)])
+        self.assertEqual(self.row(text, "peak_rss_mb"), ["n/a", "115.5"])
+
     def test_committed_documents_still_render(self):
         # The real BENCH_*.json sequence in the repo root spans the schema
         # boundary; the longitudinal view must stay renderable end to end.
@@ -161,6 +172,47 @@ class TrajectoryMixedSchemaTest(unittest.TestCase):
             status = bench_compare.trajectory(paths, None)
         self.assertEqual(status, 0)
         self.assertIn("pool draws", out.getvalue())
+
+
+class PairwisePeakRssTest(unittest.TestCase):
+    """Pairwise mode prints peak_rss_mb, "n/a" when a side lacks it, and
+    never flags it."""
+
+    def pairwise(self, base, cur):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["bench_compare.py"] + write_docs(tmp, [base, cur])
+            out = io.StringIO()
+            saved = sys.argv
+            sys.argv = argv
+            try:
+                with contextlib.redirect_stdout(out):
+                    status = bench_compare.main()
+            finally:
+                sys.argv = saved
+        return status, out.getvalue()
+
+    def rss_line(self, text):
+        for line in text.splitlines():
+            if "totals/peak_rss_mb" in line:
+                return line
+        self.fail(f"no peak_rss_mb line in:\n{text}")
+
+    def test_pairwise_prints_na_against_an_older_baseline(self):
+        status, text = self.pairwise(doc("BENCH_9"),
+                                     doc("BENCH_14", peak_rss_mb=115.5))
+        self.assertEqual(status, 0)
+        line = self.rss_line(text)
+        self.assertIn("n/a", line)
+        self.assertIn("115.500", line)
+
+    def test_pairwise_never_flags_peak_rss(self):
+        status, text = self.pairwise(doc("BENCH_13", peak_rss_mb=100.0),
+                                     doc("BENCH_14", peak_rss_mb=200.0))
+        self.assertEqual(status, 0)
+        line = self.rss_line(text)
+        self.assertIn("+100.0%", line)
+        self.assertFalse(line.startswith("!!"))
+        self.assertIn("no regressions above threshold", text)
 
 
 if __name__ == "__main__":

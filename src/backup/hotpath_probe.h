@@ -59,7 +59,7 @@ struct HotPathProbe {
   std::vector<PeerId> PartnerIds(PeerId owner) const {
     std::vector<PeerId> out;
     out.reserve(net->partners_[owner].size());
-    for (const auto& link : net->partners_[owner]) out.push_back(link.peer);
+    for (const auto& link : net->partners_[owner]) out.push_back(link.host);
     return out;
   }
 

@@ -59,6 +59,9 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
     P2P_LOG_ERROR("invalid SystemOptions: %s", valid.ToString().c_str());
   }
   P2P_CHECK(valid.ok());
+  // Link::formed stores a round in 32 bits (Scenario::Validate names this
+  // bound for scenario runs).
+  P2P_CHECK(engine->end_round() <= INT32_MAX);
   for (size_t i = 1; i < workload_.size(); ++i) {
     P2P_CHECK(workload_[i - 1].at <= workload_[i].at);  // round-sorted
   }
@@ -213,7 +216,7 @@ void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
     // quota") until the grace period elapses.
     while (!partners_[id].empty()) {
       const uint32_t last = static_cast<uint32_t>(partners_[id].size()) - 1;
-      const PeerId host = partners_[id][last].peer;
+      const PeerId host = partners_[id][last].host;
       quota_releases_.Schedule(now + options_.departure_grace,
                                Event{host, peers_[host].incarnation, 0});
       RemovePartnerAt(id, last, /*release_quota=*/false);
@@ -314,10 +317,10 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
     monitor_.RecordDisconnect(e.id, now);
     if (instant_visibility()) {
       // Every owner storing on this peer sees one fewer visible block.
-      for (const Link& c : clients_[e.id]) {
-        PeerState& owner = peers_[c.peer];
+      for (const ClientLink& c : clients_[e.id]) {
+        PeerState& owner = peers_[c.owner];
         --owner.visible;
-        if (owner.visible < flag_level_) FlagForRepair(c.peer);
+        if (owner.visible < flag_level_) FlagForRepair(c.owner);
       }
     } else {
       // If it stays unreachable past the timeout, partners presume
@@ -332,7 +335,7 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
     p.offline_since = -1;
     monitor_.RecordConnect(e.id, now);
     if (instant_visibility()) {
-      for (const Link& c : clients_[e.id]) ++peers_[c.peer].visible;
+      for (const ClientLink& c : clients_[e.id]) ++peers_[c.owner].visible;
     }
     if (p.needs_repair) EnqueueRepair(e.id);
     const sim::Round on_len = profile.sessions.SampleOnline(churn_rng_);
@@ -373,10 +376,11 @@ void BackupNetwork::ProcessCategory(const Event& e, sim::Round now) {
 
 void BackupNetwork::AddPartnership(PeerId owner, PeerId host) {
   const sim::Round now = engine_->now();
-  partners_[owner].push_back(
-      Link{host, static_cast<uint32_t>(clients_[host].size()), now});
+  partners_[owner].push_back(Link{host,
+                                   static_cast<uint32_t>(clients_[host].size()),
+                                   static_cast<int32_t>(now)});
   clients_[host].push_back(
-      Link{owner, static_cast<uint32_t>(partners_[owner].size()) - 1, now});
+      ClientLink{owner, static_cast<uint32_t>(partners_[owner].size()) - 1});
   PeerState& h = peers_[host];
   if (!peers_[owner].is_observer) {
     ++h.hosted;
@@ -392,7 +396,7 @@ void BackupNetwork::AddPartnership(PeerId owner, PeerId host) {
 void BackupNetwork::RemovePartnerAt(PeerId owner, uint32_t index,
                                     bool release_quota) {
   const Link link = partners_[owner][index];
-  const PeerId host = link.peer;
+  const PeerId host = link.host;
   const uint32_t j = link.back;
   // Observer-owned partnerships are excluded from the lifetime probe, like
   // every other observer-side measurement.
@@ -401,16 +405,16 @@ void BackupNetwork::RemovePartnerAt(PeerId owner, uint32_t index,
   }
   // Swap-remove the twin on the host side.
   if (j + 1 != clients_[host].size()) {
-    const Link moved = clients_[host].back();
+    const ClientLink moved = clients_[host].back();
     clients_[host][j] = moved;
-    partners_[moved.peer][moved.back].back = j;
+    partners_[moved.owner][moved.back].back = j;
   }
   clients_[host].pop_back();
   // Swap-remove on the owner side.
   if (index + 1 != partners_[owner].size()) {
     const Link moved = partners_[owner].back();
     partners_[owner][index] = moved;
-    clients_[moved.peer][moved.back].back = index;
+    clients_[moved.host][moved.back].back = index;
   }
   partners_[owner].pop_back();
   PeerState& h = peers_[host];
@@ -431,9 +435,9 @@ void BackupNetwork::RemovePartnerAt(PeerId owner, uint32_t index,
 void BackupNetwork::SeverAsHost(PeerId host, sim::Round now) {
   scratch_owners_.clear();
   while (!clients_[host].empty()) {
-    const Link c = clients_[host].back();
-    scratch_owners_.push_back(c.peer);
-    RemovePartnerAt(c.peer, c.back);
+    const ClientLink c = clients_[host].back();
+    scratch_owners_.push_back(c.owner);
+    RemovePartnerAt(c.owner, c.back);
   }
   for (PeerId owner : scratch_owners_) OnBlocksLost(owner, 1, now);
 }
@@ -477,18 +481,18 @@ sim::Round BackupNetwork::YoungestClientJoin(PeerId host) {
   PeerState& h = peers_[host];
   if (h.newest_client_join == -2) {
     h.newest_client_join = -1;
-    for (const Link& c : clients_[host]) {
-      if (!peers_[c.peer].is_observer) {
+    for (const ClientLink& c : clients_[host]) {
+      if (!peers_[c.owner].is_observer) {
         h.newest_client_join =
-            std::max(h.newest_client_join, peers_[c.peer].join_round);
+            std::max(h.newest_client_join, peers_[c.owner].join_round);
       }
     }
   }
   sim::Round youngest = h.newest_client_join;
   if (h.observer_clients > 0) {
-    for (const Link& c : clients_[host]) {
-      if (peers_[c.peer].is_observer) {
-        youngest = std::max(youngest, EffectiveJoin(c.peer));
+    for (const ClientLink& c : clients_[host]) {
+      if (peers_[c.owner].is_observer) {
+        youngest = std::max(youngest, EffectiveJoin(c.owner));
       }
     }
   }
@@ -501,14 +505,14 @@ bool BackupNetwork::TryEvictYoungestClient(PeerId host, sim::Round newer_than,
   int best = -1;
   sim::Round best_age = newer_than;  // the victim must be strictly younger
   for (uint32_t j = 0; j < cl.size(); ++j) {
-    const sim::Round a = MarketAge(cl[j].peer);
+    const sim::Round a = MarketAge(cl[j].owner);
     if (a < best_age) {
       best_age = a;
       best = static_cast<int>(j);
     }
   }
   if (best < 0) return false;
-  const PeerId victim = cl[static_cast<size_t>(best)].peer;
+  const PeerId victim = cl[static_cast<size_t>(best)].owner;
   RemovePartnerAt(victim, cl[static_cast<size_t>(best)].back);
   OnBlocksLost(victim, 1, now);
   return true;
@@ -543,7 +547,7 @@ int BackupNetwork::EvictOfflinePartners(PeerId owner, int count) {
   auto& links = partners_[owner];
   for (uint32_t i = static_cast<uint32_t>(links.size()); i-- > 0;) {
     if (evicted >= count) break;
-    if (!peers_[links[i].peer].online) {
+    if (!peers_[links[i].host].online) {
       RemovePartnerAt(owner, i);
       ++evicted;
     }
@@ -676,10 +680,17 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
     // (both vectors keep their high-water capacity across episodes).
     BuildPool(id, needed, &scratch_pool_);
     scratch_chosen_.clear();
-    selection_->Choose(&scratch_pool_, needed, place_rng_, &scratch_chosen_);
+    {
+      TRACE_SCOPE("repair/choose");
+      selection_->Choose(&scratch_pool_, needed, place_rng_, &scratch_chosen_);
+    }
     int64_t placed = 0;
-    for (uint32_t host : scratch_chosen_) {
-      if (TryPlaceBlock(id, host, now)) ++placed;
+    {
+      // Owns the quota-market evictions (TryEvictYoungestClient's scan).
+      TRACE_SCOPE("repair/try_place");
+      for (uint32_t host : scratch_chosen_) {
+        if (TryPlaceBlock(id, host, now)) ++placed;
+      }
     }
     collector_.OnUpload(placed);
     p.episode_placed += static_cast<int>(placed);
@@ -809,7 +820,7 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
     }  // offline partner in timeout mode: outside the drawn lane anyway
   };
   pre_take(owner);
-  for (const Link& link : partners_[owner]) pre_take(link.peer);
+  for (const Link& link : partners_[owner]) pre_take(link.host);
   uint32_t remaining =
       (online_total - online_taken) + (offline_total - offline_taken);
   const uint8_t* const elig = elig_.data();
@@ -939,7 +950,7 @@ BackupNetwork::PartnerSetStats BackupNetwork::ComputePartnerStats(
   s.count = static_cast<int>(partners_[owner].size());
   if (s.count == 0) return s;
   for (const Link& link : partners_[owner]) {
-    const PeerState& host = peers_[link.peer];
+    const PeerState& host = peers_[link.host];
     s.mean_nominal_availability += (*profiles_)[host.profile].availability;
     s.mean_age_days +=
         sim::RoundsToDays(engine_->now() - host.join_round);
@@ -972,23 +983,23 @@ void BackupNetwork::CheckInvariants() const {
     if (instant_visibility()) {
       int visible_check = 0;
       for (const Link& link : partners_[o]) {
-        if (peers_[link.peer].online) ++visible_check;
+        if (peers_[link.host].online) ++visible_check;
       }
       P2P_CHECK(peers_[o].visible == visible_check);
     }
     for (uint32_t i = 0; i < partners_[o].size(); ++i) {
       const Link& link = partners_[o][i];
-      P2P_CHECK(link.peer < normal_slots_);  // hosts are normal peers
-      P2P_CHECK(peers_[link.peer].live);     // ...and members right now
-      P2P_CHECK(link.back < clients_[link.peer].size());
-      const Link& twin = clients_[link.peer][link.back];
-      P2P_CHECK(twin.peer == o && twin.back == i);
-      if (!peers_[o].is_observer) ++hosted_check[link.peer];
+      P2P_CHECK(link.host < normal_slots_);  // hosts are normal peers
+      P2P_CHECK(peers_[link.host].live);     // ...and members right now
+      P2P_CHECK(link.back < clients_[link.host].size());
+      const ClientLink& twin = clients_[link.host][link.back];
+      P2P_CHECK(twin.owner == o && twin.back == i);
+      if (!peers_[o].is_observer) ++hosted_check[link.host];
     }
     // Distinctness: no host appears twice for one owner.
     std::vector<PeerId> hosts;
     hosts.reserve(partners_[o].size());
-    for (const Link& link : partners_[o]) hosts.push_back(link.peer);
+    for (const Link& link : partners_[o]) hosts.push_back(link.host);
     std::sort(hosts.begin(), hosts.end());
     P2P_CHECK(std::adjacent_find(hosts.begin(), hosts.end()) == hosts.end());
   }

@@ -190,11 +190,22 @@ class BackupNetwork {
 
  private:
   friend struct HotPathProbe;
+  // A partnership is one Link in the owner's list plus one ClientLink in the
+  // host's, each holding the index of its twin. Only the owner side carries
+  // the formation round (RemovePartnerAt reads it for the lifetime probe);
+  // it fits 32 bits because the constructor bounds end_round by INT32_MAX.
+  // These two arrays are the bulk of a world's memory (README "Hot path").
   struct Link {
-    PeerId peer;       // the peer on the other side
-    uint32_t back;     // index of the twin link in the other side's vector
-    sim::Round formed; // round the partnership was created (lifetime probe)
+    PeerId host;     // the peer storing the block
+    uint32_t back;   // index of the twin in clients_[host]
+    int32_t formed;  // round the partnership was created (lifetime probe)
   };
+  struct ClientLink {
+    PeerId owner;    // the peer whose block this is
+    uint32_t back;   // index of the twin in partners_[owner]
+  };
+  static_assert(sizeof(Link) == 12, "owner-side link must stay 12 bytes");
+  static_assert(sizeof(ClientLink) == 8, "host-side link must stay 8 bytes");
 
   struct PeerState {
     uint32_t profile = 0;
@@ -328,8 +339,8 @@ class BackupNetwork {
   util::Rng* place_rng_;
 
   std::vector<PeerState> peers_;
-  std::vector<std::vector<Link>> partners_;  // owner -> hosts of its blocks
-  std::vector<std::vector<Link>> clients_;   // host -> owners it stores for
+  std::vector<std::vector<Link>> partners_;       // owner -> hosts of its blocks
+  std::vector<std::vector<ClientLink>> clients_;  // host -> owners it stores for
 
   sim::CalendarQueue<Event> toggles_;
   sim::CalendarQueue<Event> departures_;
@@ -456,7 +467,7 @@ class BackupNetwork {
     }
     void AppendSources(transfer::PeerId owner,
                        std::vector<transfer::PeerId>* out) const override {
-      for (const Link& link : net_->partners_[owner]) out->push_back(link.peer);
+      for (const Link& link : net_->partners_[owner]) out->push_back(link.host);
     }
 
    private:

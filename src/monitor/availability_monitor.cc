@@ -1,8 +1,8 @@
 #include "monitor/availability_monitor.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "trace/trace.h"
 #include "util/logging.h"
 
 namespace p2p {
@@ -15,7 +15,10 @@ AvailabilityMonitor::AvailabilityMonitor(uint32_t capacity,
 void AvailabilityMonitor::RecordJoin(PeerId peer, sim::Round now) {
   P2P_CHECK(peer < peers_.size());
   PeerHistory& h = peers_[peer];
+  std::vector<Session> sessions = std::move(h.sessions);
+  sessions.clear();  // keeps the capacity for the new incarnation
   h = PeerHistory();
+  h.sessions = std::move(sessions);
   h.first_seen = now;
 }
 
@@ -77,7 +80,7 @@ double AvailabilityMonitor::AvailabilityOver(PeerId peer, sim::Round window,
   // everything from there on contributes, read off the prefix sums. Only
   // that first session can straddle `lo`, so one clip suffices.
   const auto it = std::lower_bound(
-      h.sessions.begin(), h.sessions.end(), lo,
+      h.sessions.begin() + h.pruned, h.sessions.end(), lo,
       [](const Session& s, sim::Round bound) { return s.end <= bound; });
   if (it != h.sessions.end()) {
     const int64_t before =
@@ -120,21 +123,18 @@ core::PeerObservation AvailabilityMonitor::Observe(PeerId peer,
   return obs;
 }
 
-void AvailabilityMonitor::ObserveBatch(
-    const std::vector<PeerId>& peers, sim::Round window, sim::Round now,
-    std::vector<core::PeerObservation>* out) const {
-  TRACE_SCOPE("monitor/observe_batch");
-  out->clear();
-  out->reserve(peers.size());
-  for (PeerId peer : peers) {
-    out->push_back(Observe(peer, window, now));
-  }
-}
-
 void AvailabilityMonitor::Prune(PeerHistory* h, sim::Round now) const {
   const sim::Round lo = now - history_window_;
-  while (!h->sessions.empty() && h->sessions.front().end <= lo) {
-    h->sessions.pop_front();
+  std::vector<Session>& sessions = h->sessions;
+  while (h->pruned < sessions.size() && sessions[h->pruned].end <= lo) {
+    ++h->pruned;
+  }
+  // Compacting whenever the dead prefix is at least half the vector also
+  // empties it when every session is dead, so the next session's running
+  // total restarts at 0 (RecordDisconnect reads it off back()).
+  if (h->pruned > 0 && 2 * static_cast<size_t>(h->pruned) >= sessions.size()) {
+    sessions.erase(sessions.begin(), sessions.begin() + h->pruned);
+    h->pruned = 0;
   }
 }
 

@@ -13,15 +13,12 @@
 //
 // The estimator-driven placement path asks for the full observation triple
 // (age, availability, rounds since seen) for every pooled candidate of
-// every maintenance episode; Observe/ObserveBatch answer it from a
-// per-round memo, so a peer sampled by many repairing owners in one round
-// is evaluated once.
+// every maintenance episode; Observe answers it from a per-round memo.
 
 #ifndef P2P_MONITOR_AVAILABILITY_MONITOR_H_
 #define P2P_MONITOR_AVAILABILITY_MONITOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/lifetime_estimator.h"
@@ -78,11 +75,6 @@ class AvailabilityMonitor {
   /// answered from the cache. Any event on the peer invalidates its entry.
   core::PeerObservation Observe(PeerId peer, sim::Round window,
                                 sim::Round now) const;
-  /// Batched snapshot: fills `out` (cleared first) with one observation per
-  /// id, in id order - Observe over a whole candidate list in one call.
-  void ObserveBatch(const std::vector<PeerId>& peers, sim::Round window,
-                    sim::Round now,
-                    std::vector<core::PeerObservation>* out) const;
   /// @}
 
   /// History window bound.
@@ -115,8 +107,12 @@ class AvailabilityMonitor {
     sim::Round online_since = -1;  // -1 when offline
     sim::Round last_seen = -1;     // last round online (end of last session)
     bool departed = false;
-    // Closed sessions intersecting the history window.
-    std::deque<Session> sessions;
+    // sessions[pruned, size()) are the closed sessions intersecting the
+    // history window; the dead prefix before `pruned` is compacted away
+    // once it is at least half the vector, so a session moves O(1) times
+    // amortized and the buffer never shrinks (a recycled id reuses it).
+    uint32_t pruned = 0;
+    std::vector<Session> sessions;
     // Per-round observation memo (Observe); -1 = empty.
     sim::Round obs_round = -1;
     sim::Round obs_window = -1;

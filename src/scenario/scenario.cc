@@ -1,6 +1,7 @@
 #include "scenario/scenario.h"
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 
 #include "sim/engine.h"
@@ -14,6 +15,12 @@ util::Status Scenario::Validate() const {
   if (rounds < 1) {
     return util::Status::InvalidArgument("rounds must be >= 1, got " +
                                          std::to_string(rounds));
+  }
+  if (rounds > INT32_MAX) {
+    // BackupNetwork stores partnership formation rounds in 32 bits.
+    return util::Status::InvalidArgument(
+        "rounds must be <= " + std::to_string(INT32_MAX) +
+        " (partnership rounds are 32-bit), got " + std::to_string(rounds));
   }
   if (auto selection = metrics::ResolveCollectedSelection(metrics);
       !selection.ok()) {

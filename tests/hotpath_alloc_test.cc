@@ -254,7 +254,7 @@ TEST(HotPathAllocTest, RoundLoopAllocationsDoNotScaleWithEpisodes) {
   ASSERT_GT(draws, 1000);
   // ...without per-episode or per-draw heap traffic. The residual belongs
   // to subsystems outside the repair path - the monitor's session-history
-  // deque chunking, first pushes into far-future departure ring slots - and
+  // vector growth, first pushes into far-future departure ring slots - and
   // stays a small multiple of rounds, orders of magnitude under draws.
   const int64_t allocs = g_allocs.load();
   EXPECT_LT(allocs, 300 * 4) << "episodes=" << episodes << " draws=" << draws;

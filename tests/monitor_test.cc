@@ -163,26 +163,6 @@ TEST(MonitorTest, ObserveMemoInvalidatedByEvents) {
   EXPECT_NEAR(mon.Observe(0, 25, 100).availability, 1.0, 1e-12);
 }
 
-TEST(MonitorTest, ObserveBatchMatchesSingleQueries) {
-  AvailabilityMonitor mon(4, /*history_window=*/100);
-  for (PeerId p = 0; p < 3; ++p) {
-    mon.RecordJoin(p, static_cast<sim::Round>(10 * p));
-    mon.RecordConnect(p, static_cast<sim::Round>(10 * p));
-  }
-  mon.RecordDisconnect(1, 50);
-
-  std::vector<PeerId> ids = {2, 0, 1};
-  std::vector<p2p::core::PeerObservation> batch;
-  mon.ObserveBatch(ids, 100, 100, &batch);
-  ASSERT_EQ(batch.size(), 3u);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const auto single = mon.Observe(ids[i], 100, 100);
-    EXPECT_EQ(batch[i].age, single.age) << i;
-    EXPECT_DOUBLE_EQ(batch[i].availability, single.availability) << i;
-    EXPECT_EQ(batch[i].rounds_since_seen, single.rounds_since_seen) << i;
-  }
-}
-
 TEST(MonitorTest, PrefixSummedWindowsMatchBruteForceOracle) {
   // Random session histories, queried at random times over random windows:
   // the binary-search-plus-prefix-sum fast path must agree exactly with a
@@ -220,6 +200,85 @@ TEST(MonitorTest, PrefixSummedWindowsMatchBruteForceOracle) {
                   1e-12)
           << "trial=" << trial << " now=" << now << " window=" << window;
     }
+  }
+}
+
+TEST(MonitorTest, LongRecycledHistoriesMatchBruteForceOracle) {
+  // Session histories live in a vector whose dead prefix is compacted once
+  // it reaches half the buffer, and a recycled id keeps that buffer. Drive
+  // one id through long histories - many compactions per incarnation, ids
+  // departed and rejoined with a used buffer, zero-length sessions after
+  // gaps longer than the window (every session pruned, so the running
+  // total restarts at 0) - and check every query against a per-round
+  // recount.
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 12; ++trial) {
+    const sim::Round history_window = 20 + rng.UniformInt(0, 180);
+    AvailabilityMonitor mon(1, history_window);
+    std::vector<bool> online_at;  // oracle: round -> was peer online
+    sim::Round now = 0;
+    sim::Round joined = 0;
+    sim::Round last_seen = -1;
+    bool online = false;
+    int recycles = 0;
+    int full_prunes = 0;
+    mon.RecordJoin(0, 0);
+    const auto advance = [&](sim::Round gap) {
+      now += gap;
+      while (static_cast<sim::Round>(online_at.size()) < now) {
+        online_at.push_back(online);
+      }
+    };
+    for (int event = 0; event < 3000; ++event) {
+      const int64_t roll = rng.UniformInt(0, 99);
+      if (roll < 2) {
+        // Departure, then the id is handed to a fresh peer.
+        advance(rng.UniformInt(0, 10));
+        mon.RecordDeparture(0, now);
+        online = false;
+        advance(1 + rng.UniformInt(0, 10));
+        mon.RecordJoin(0, now);
+        joined = now;
+        last_seen = -1;
+        ++recycles;
+      } else if (roll < 6 && !online) {
+        // Silent past the whole window, then a zero-length session: the
+        // disconnect prunes every stored session.
+        advance(history_window + 1 + rng.UniformInt(0, 40));
+        mon.RecordConnect(0, now);
+        mon.RecordDisconnect(0, now);
+        last_seen = now;
+        ++full_prunes;
+      } else {
+        advance(roll < 12 ? 0 : 1 + rng.UniformInt(0, 15));  // 0: same round
+        if (online) {
+          mon.RecordDisconnect(0, now);
+          last_seen = now;
+        } else {
+          mon.RecordConnect(0, now);
+        }
+        online = !online;
+      }
+
+      const sim::Round window = 1 + rng.UniformInt(0, 2 * history_window);
+      const sim::Round effective = std::min(window, history_window);
+      int64_t expect = 0;
+      for (sim::Round r = std::max(joined, now - effective); r < now; ++r) {
+        if (online_at[static_cast<size_t>(r)]) ++expect;
+      }
+      const double want =
+          static_cast<double>(expect) / static_cast<double>(effective);
+      ASSERT_NEAR(mon.AvailabilityOver(0, window, now), want, 1e-12)
+          << "trial=" << trial << " event=" << event << " now=" << now;
+      const sim::Round seen = online ? now : last_seen;
+      ASSERT_EQ(mon.LastSeen(0, now), seen) << "event=" << event;
+      const core::PeerObservation obs = mon.Observe(0, window, now);
+      ASSERT_EQ(obs.age, now - joined);
+      ASSERT_NEAR(obs.availability, want, 1e-12);
+      ASSERT_EQ(obs.rounds_since_seen, seen < 0 ? now - joined : now - seen);
+    }
+    EXPECT_GT(recycles, 20) << "trial=" << trial;
+    EXPECT_GT(full_prunes, 20) << "trial=" << trial;
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -518,6 +519,21 @@ TEST(RegistryTest, HasTheAdvertisedEntriesAndTheyValidate) {
   EXPECT_TRUE(FindScenario("nope").status().IsNotFound());
   // Unknown bare names do not fall through to the filesystem.
   EXPECT_TRUE(LoadScenario("nope").status().IsNotFound());
+}
+
+TEST(RegistryTest, RoundsAboveInt32MaxFailValidate) {
+  // The network stores partnership rounds in 32 bits: a longer run is a
+  // named validation error, not an abort in the network constructor.
+  auto s = FindScenario("paper");
+  ASSERT_TRUE(s.ok());
+  s->rounds = INT32_MAX;
+  EXPECT_TRUE(s->Validate().ok()) << s->Validate().ToString();
+  s->rounds = static_cast<sim::Round>(INT32_MAX) + 1;
+  const util::Status status = s->Validate();
+  EXPECT_TRUE(status.IsInvalidArgument());
+  EXPECT_NE(status.message().find("rounds must be <= 2147483647"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(RegistryTest, ApplyWorldSwapsWorldOnly) {

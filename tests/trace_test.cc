@@ -11,6 +11,7 @@
 //    "repair/episodes" counter equals the report's "repairs" scalar, and
 //    tracing a run changes none of its results.
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -310,6 +311,68 @@ TEST(TraceSweepTest, RepairCounterMatchesCollectorAndRunIsUnperturbed) {
 
   // The monitor's flushed query statistics reached the session.
   EXPECT_GT(CounterValue(session, "monitor/observe"), 0);
+}
+
+// Signature line of one simulation phase: "sim/<name> depth=D count=C".
+// Returns false when the phase is absent.
+bool FindSignature(const std::vector<std::string>& signature,
+                   const std::string& name, int* depth, int64_t* count) {
+  const std::string prefix = "sim/" + name + " depth=";
+  for (const std::string& line : signature) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    std::istringstream in(line.substr(prefix.size()));
+    std::string count_field;
+    in >> *depth >> count_field;
+    *count = std::stoll(count_field.substr(count_field.find('=') + 1));
+    return true;
+  }
+  return false;
+}
+
+bool SameDouble(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+// Every placing episode runs the selection ranking and the placement loop
+// once each, directly under repair/place, so those two spans and
+// repair/pool together name all of repair/place's work. Naming them
+// changes nothing the simulation computes.
+TEST(TraceSweepTest, PlaceChildrenRunOncePerPlacingEpisode) {
+  scenario::Scenario scenario = SmallWorld();
+  const scenario::Outcome untraced = scenario::RunScenario(scenario);
+
+  TraceSession session;
+  session.Install();
+  const scenario::Outcome traced = scenario::RunScenario(scenario);
+  TraceSession::Uninstall();
+
+  const std::vector<std::string> signature = session.StructureSignature();
+  int place_depth = 0;
+  int64_t place_count = 0;
+  ASSERT_TRUE(FindSignature(signature, "repair/place", &place_depth,
+                            &place_count));
+  EXPECT_GT(place_count, 0);
+  for (const char* child : {"repair/choose", "repair/try_place"}) {
+    int depth = 0;
+    int64_t count = 0;
+    ASSERT_TRUE(FindSignature(signature, child, &depth, &count)) << child;
+    EXPECT_EQ(depth, place_depth + 1) << child;
+    EXPECT_EQ(count, place_count) << child;
+  }
+
+  const auto& a = traced.report.values();
+  const auto& b = untraced.report.values();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    const std::string& name = a[i].descriptor->name;
+    EXPECT_EQ(a[i].descriptor, b[i].descriptor) << name;
+    EXPECT_TRUE(SameDouble(a[i].scalar, b[i].scalar)) << name;
+    for (size_t c = 0; c < a[i].per_category.size(); ++c) {
+      EXPECT_TRUE(SameDouble(a[i].per_category[c], b[i].per_category[c]))
+          << name << " category " << c;
+    }
+  }
+  EXPECT_EQ(traced.final_population, untraced.final_population);
 }
 
 }  // namespace
