@@ -1,14 +1,18 @@
 // Micro-benchmark M4: simulator substrate throughput - calendar queue event
-// rates, whole-network rounds per second at a small scale, and the
-// availability-monitor query path the estimator-driven placement leans on.
+// rates, whole-network rounds per second at a small scale, the
+// availability-monitor query path the estimator-driven placement leans on,
+// and the repair episode's stages (pool, selection ranking, whole episode).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "backup/hotpath_probe.h"
 #include "backup/network.h"
 #include "churn/profile.h"
+#include "core/selection.h"
 #include "monitor/availability_monitor.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
@@ -18,9 +22,7 @@ namespace {
 
 using namespace p2p;
 
-// The per-call bounded draw vs the batch the repair sampler uses. The batch
-// is bit-identical to per-call draws by contract (RngTest proves it); the
-// bench quantifies what the amortized call overhead is worth.
+// One bounded draw: the unit of the churn and shuffle streams.
 void BM_RngUniformInt(benchmark::State& state) {
   util::Rng rng(1);
   int64_t acc = 0;
@@ -31,19 +33,6 @@ void BM_RngUniformInt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngUniformInt);
-
-void BM_RngUniformIntBatch(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  util::Rng rng(1);
-  int64_t out[64];
-  for (auto _ : state) {
-    rng.UniformIntBatch(0, 24999, out, n);
-    benchmark::DoNotOptimize(out[0]);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_RngUniformIntBatch)->Arg(8)->Arg(64);
 
 void BM_CalendarQueueScheduleDrain(benchmark::State& state) {
   const int events_per_round = static_cast<int>(state.range(0));
@@ -120,21 +109,36 @@ void BM_MonitorAvailabilityQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorAvailabilityQuery)->Arg(16)->Arg(256)->Arg(1024);
 
-// The batched per-episode snapshot: repeated Observe calls within one round
-// (a peer pooled by many repairing owners) are served from the per-round
-// memo instead of recomputing the window sum.
-void BM_MonitorObserveMemoized(benchmark::State& state) {
-  sim::Round now = 0;
-  const auto mon = SessionHeavyMonitor(static_cast<int>(state.range(0)), &now);
-  const sim::Round window = 90 * sim::kRoundsPerDay;
-  double acc = 0.0;
+// The selection ranking of one episode on a synthetic pool: shuffle, packed
+// keys, nth_element and a sort of the front. Ages are drawn wide, and the
+// age-rank score saturates at the horizon, so old candidates tie on score
+// and the age and shuffle tie-breaks both decide. The shapes are a
+// steady-state maintenance repair (66 -> 22) and the initial-placement
+// storm (768 -> 256). Choose leaves the pool as it found it, so every
+// iteration ranks the same pool.
+void BM_SelectionChoose(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  const int take = static_cast<int>(state.range(1));
+  util::Rng fill(3);
+  std::vector<core::Candidate> pool(size);
+  for (size_t i = 0; i < size; ++i) {
+    pool[i].id = static_cast<uint32_t>(i);
+    pool[i].age = fill.UniformInt(0, 200 * sim::kRoundsPerDay);
+    pool[i].score = static_cast<double>(
+        std::min<sim::Round>(pool[i].age, 90 * sim::kRoundsPerDay));
+  }
+  const core::OldestFirstSelection selection;
+  util::Rng rng(1);
+  std::vector<uint32_t> out;
+  out.reserve(static_cast<size_t>(take));
   for (auto _ : state) {
-    acc += mon.Observe(0, window, now).availability;
-    benchmark::DoNotOptimize(acc);
+    out.clear();
+    selection.Choose(&pool, take, &rng, &out);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MonitorObserveMemoized)->Arg(256)->Arg(1024);
+BENCHMARK(BM_SelectionChoose)->Args({66, 22})->Args({768, 256});
 
 // A warmed-up steady-state world for episode-level benches: paper churn
 // profiles, population `peers`, run far enough past bootstrap that partner

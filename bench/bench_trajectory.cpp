@@ -178,7 +178,6 @@ struct BenchDoc {
   std::vector<trace::PhaseStat> phases;
   std::vector<trace::CounterStat> counters;
   double observe_calls = 0.0;
-  double memo_hit_percent = 0.0;
   double score_ns_per_observe = 0.0;
   int64_t pool_draws = 0;
   int64_t pool_partner_excluded = 0;
@@ -261,7 +260,6 @@ void WriteBenchJson(const BenchDoc& d, std::ostream& os) {
   os << "  ],\n";
   os << "  \"monitor\": {\n";
   os << "    \"observe_calls\": " << Num(d.observe_calls) << ",\n";
-  os << "    \"memo_hit_percent\": " << Num(d.memo_hit_percent) << ",\n";
   os << "    \"score_ns_per_observe\": " << Num(d.score_ns_per_observe)
      << "\n";
   os << "  },\n";
@@ -395,13 +393,11 @@ int main(int argc, char** argv) {
 
   doc.phases = session->PhaseStats();
   doc.counters = session->CounterStats();
-  double observe = 0.0, memo_hits = 0.0;
+  double observe = 0.0;
   int64_t score_memo_hits = 0, score_evals = 0;
   uint64_t score_ns = 0;
   for (const auto& c : doc.counters) {
     if (c.name == "monitor/observe") observe = static_cast<double>(c.value);
-    if (c.name == "monitor/observe_memo_hits")
-      memo_hits = static_cast<double>(c.value);
     if (c.name == "repair/pool_draws") doc.pool_draws = c.value;
     if (c.name == "repair/pool_partner_excluded")
       doc.pool_partner_excluded = c.value;
@@ -428,7 +424,6 @@ int main(int argc, char** argv) {
     if (p.name == "repair/score") score_ns = p.total_ns;
   }
   doc.observe_calls = observe;
-  doc.memo_hit_percent = observe > 0.0 ? memo_hits / observe * 100.0 : 0.0;
   doc.score_ns_per_observe =
       observe > 0.0 ? static_cast<double>(score_ns) / observe : 0.0;
 

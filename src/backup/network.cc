@@ -22,6 +22,14 @@ constexpr uint32_t kMaxObservers = 64;
 // "a typical data amount of 128 MB per archive").
 constexpr uint64_t kArchiveBytes = 128ull << 20;
 
+// Software prefetch for the two link walks that chase peer ids into cold
+// per-peer arrays: SeverAsHost and an episode's placement loop (README "Hot
+// path"). Each loop hints the lines it will touch kPrefetchAhead links
+// ahead, which hides the memory latency behind the current link's work.
+constexpr size_t kPrefetchAhead = 8;
+
+inline void Prefetch(const void* line) { __builtin_prefetch(line); }
+
 }  // namespace
 
 namespace {
@@ -434,8 +442,15 @@ void BackupNetwork::RemovePartnerAt(PeerId owner, uint32_t index,
 
 void BackupNetwork::SeverAsHost(PeerId host, sim::Round now) {
   scratch_owners_.clear();
-  while (!clients_[host].empty()) {
-    const ClientLink c = clients_[host].back();
+  const std::vector<ClientLink>& clients = clients_[host];
+  // Walks the clients from the back, so each removal pops the host side.
+  while (!clients.empty()) {
+    if (clients.size() > kPrefetchAhead) {
+      const ClientLink& ahead = clients[clients.size() - 1 - kPrefetchAhead];
+      Prefetch(&partners_[ahead.owner][ahead.back]);
+      Prefetch(&peers_[ahead.owner]);
+    }
+    const ClientLink c = clients.back();
     scratch_owners_.push_back(c.owner);
     RemovePartnerAt(c.owner, c.back);
   }
@@ -501,6 +516,7 @@ sim::Round BackupNetwork::YoungestClientJoin(PeerId host) {
 
 bool BackupNetwork::TryEvictYoungestClient(PeerId host, sim::Round newer_than,
                                            sim::Round now) {
+  TRACE_SCOPE("repair/evict");
   auto& cl = clients_[host];
   int best = -1;
   sim::Round best_age = newer_than;  // the victim must be strictly younger
@@ -686,10 +702,16 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
     }
     int64_t placed = 0;
     {
-      // Owns the quota-market evictions (TryEvictYoungestClient's scan).
+      // Parent of repair/evict, the quota-market eviction scan.
       TRACE_SCOPE("repair/try_place");
-      for (uint32_t host : scratch_chosen_) {
-        if (TryPlaceBlock(id, host, now)) ++placed;
+      const size_t chosen = scratch_chosen_.size();
+      for (size_t i = 0; i < chosen; ++i) {
+        if (i + kPrefetchAhead < chosen) {
+          const PeerId ahead = scratch_chosen_[i + kPrefetchAhead];
+          Prefetch(&peers_[ahead]);
+          Prefetch(clients_[ahead].data() + clients_[ahead].size());
+        }
+        if (TryPlaceBlock(id, scratch_chosen_[i], now)) ++placed;
       }
     }
     collector_.OnUpload(placed);

@@ -26,16 +26,12 @@ namespace core {
 
 /// A placement candidate: id, the age the monitor reports for it, and the
 /// stability score the configured lifetime estimator assigned (nonnegative,
-/// arbitrary scale; ties are refined by age, then broken randomly).
+/// arbitrary scale; ties are refined by age, then broken randomly). Ages
+/// lie in [0, INT32_MAX]: the network bounds every run by INT32_MAX rounds.
 struct Candidate {
   uint32_t id = 0;
   sim::Round age = 0;
   double score = 0.0;
-  // Selection-internal tie-break token (the candidate's position after the
-  // random shuffle); lets the rank strategies use an in-place unstable sort
-  // with a total order instead of an allocating std::stable_sort while
-  // producing the exact same ordering. Callers need not initialize it.
-  uint32_t tie = 0;
 };
 
 /// \brief Chooses up to d candidates from a pool.
@@ -52,13 +48,34 @@ class SelectionStrategy {
   virtual std::string name() const = 0;
 };
 
-/// Sorts by estimator score descending (age refines score ties, the rest
-/// broken randomly so equal newcomers do not all dogpile onto the lowest
-/// peer id). Under the age-rank estimator this is the paper's oldest-first.
-class OldestFirstSelection : public SelectionStrategy {
+/// Shuffle-then-rank: orders the pool by estimator score, age refining
+/// score ties and a random shuffle breaking the rest, and takes the front.
+/// The two rank strategies below differ only in the direction. Choose
+/// leaves `pool` as it found it.
+class RankSelection : public SelectionStrategy {
  public:
   void Choose(std::vector<Candidate>* pool, int d, util::Rng* rng,
               std::vector<uint32_t>* out) const override;
+
+ protected:
+  /// `best_first`: highest score (and oldest) first, else lowest first.
+  explicit RankSelection(bool best_first) : best_first_(best_first) {}
+
+ private:
+  bool best_first_;
+  // Ranking scratch, reused across calls like WeightedRandomSelection's
+  // weights_: the shuffled index permutation and one packed rank key per
+  // candidate (selection.cc documents the key layout).
+  mutable std::vector<uint32_t> order_;
+  mutable std::vector<__uint128_t> keys_;
+};
+
+/// Sorts by estimator score descending (age refines score ties, the rest
+/// broken randomly so equal newcomers do not all dogpile onto the lowest
+/// peer id). Under the age-rank estimator this is the paper's oldest-first.
+class OldestFirstSelection : public RankSelection {
+ public:
+  OldestFirstSelection() : RankSelection(/*best_first=*/true) {}
   std::string name() const override { return "oldest-first"; }
 };
 
@@ -71,10 +88,9 @@ class RandomSelection : public SelectionStrategy {
 };
 
 /// Sorts by score ascending; the pessimal counterpart of the paper's scheme.
-class YoungestFirstSelection : public SelectionStrategy {
+class YoungestFirstSelection : public RankSelection {
  public:
-  void Choose(std::vector<Candidate>* pool, int d, util::Rng* rng,
-              std::vector<uint32_t>* out) const override;
+  YoungestFirstSelection() : RankSelection(/*best_first=*/false) {}
   std::string name() const override { return "youngest-first"; }
 };
 

@@ -28,7 +28,6 @@ void AvailabilityMonitor::RecordConnect(PeerId peer, sim::Round now) {
   if (h.first_seen < 0) h.first_seen = now;
   if (h.online_since < 0) h.online_since = now;
   h.last_seen = now;
-  h.obs_round = -1;
 }
 
 void AvailabilityMonitor::RecordDisconnect(PeerId peer, sim::Round now) {
@@ -42,7 +41,6 @@ void AvailabilityMonitor::RecordDisconnect(PeerId peer, sim::Round now) {
     }
     h.last_seen = now;  // online through the end of the previous round
     h.online_since = -1;
-    h.obs_round = -1;
     Prune(&h, now);
   }
 }
@@ -50,7 +48,6 @@ void AvailabilityMonitor::RecordDisconnect(PeerId peer, sim::Round now) {
 void AvailabilityMonitor::RecordDeparture(PeerId peer, sim::Round now) {
   RecordDisconnect(peer, now);
   peers_[peer].departed = true;
-  peers_[peer].obs_round = -1;
 }
 
 bool AvailabilityMonitor::IsOnline(PeerId peer) const {
@@ -106,20 +103,12 @@ bool AvailabilityMonitor::PresumedDeparted(PeerId peer, sim::Round timeout,
 core::PeerObservation AvailabilityMonitor::Observe(PeerId peer,
                                                    sim::Round window,
                                                    sim::Round now) const {
-  PeerHistory& h = peers_[peer];
   ++query_stats_.observe_calls;
-  if (h.obs_round == now && h.obs_window == window) {
-    ++query_stats_.memo_hits;
-    return h.obs;
-  }
   core::PeerObservation obs;
   obs.age = Age(peer, now);
   obs.availability = AvailabilityOver(peer, window, now);
   const sim::Round seen = LastSeen(peer, now);
   obs.rounds_since_seen = seen < 0 ? obs.age : now - seen;
-  h.obs_round = now;
-  h.obs_window = window;
-  h.obs = obs;
   return obs;
 }
 

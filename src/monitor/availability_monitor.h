@@ -12,8 +12,8 @@
 // arithmetic), not a scan of the whole window.
 //
 // The estimator-driven placement path asks for the full observation triple
-// (age, availability, rounds since seen) for every pooled candidate of
-// every maintenance episode; Observe answers it from a per-round memo.
+// (age, availability, rounds since seen) through Observe, at most once per
+// (peer, round): BackupNetwork memoizes the resulting score per round.
 
 #ifndef P2P_MONITOR_AVAILABILITY_MONITOR_H_
 #define P2P_MONITOR_AVAILABILITY_MONITOR_H_
@@ -71,8 +71,6 @@ class AvailabilityMonitor {
   /// @{
   /// The full observation triple for one peer: age, availability over
   /// `window`, rounds since last seen (the peer's whole age if never seen).
-  /// Memoized per (peer, round, window): repeat queries in one round are
-  /// answered from the cache. Any event on the peer invalidates its entry.
   core::PeerObservation Observe(PeerId peer, sim::Round window,
                                 sim::Round now) const;
   /// @}
@@ -86,6 +84,8 @@ class AvailabilityMonitor {
   /// into a trace session once per run (scenario.cc does).
   struct QueryStats {
     int64_t observe_calls = 0;
+    // Always 0: Observe keeps no memo (the network's per-round score memo
+    // sits in front of it). Kept because e2ebench/driver.cc reads it.
     int64_t memo_hits = 0;
   };
   const QueryStats& query_stats() const { return query_stats_; }
@@ -113,16 +113,12 @@ class AvailabilityMonitor {
     // amortized and the buffer never shrinks (a recycled id reuses it).
     uint32_t pruned = 0;
     std::vector<Session> sessions;
-    // Per-round observation memo (Observe); -1 = empty.
-    sim::Round obs_round = -1;
-    sim::Round obs_window = -1;
-    core::PeerObservation obs;
   };
 
   void Prune(PeerHistory* h, sim::Round now) const;
 
   sim::Round history_window_;
-  mutable std::vector<PeerHistory> peers_;
+  std::vector<PeerHistory> peers_;
   mutable QueryStats query_stats_;
 };
 

@@ -105,7 +105,6 @@ Outcome RunScenario(const Scenario& scenario, const RunOptions& run) {
     // counters; Observe is far too hot for per-call TRACE_COUNTER bumps).
     const auto& qs = network->monitor().query_stats();
     TRACE_COUNTER("monitor/observe", qs.observe_calls);
-    TRACE_COUNTER("monitor/observe_memo_hits", qs.memo_hits);
     // Same pattern for the candidate sampler: every index draw lands in
     // exactly one of these buckets (draws == rejects + accepted; the owner
     // and its partners are pre-excluded before any draw, counted per

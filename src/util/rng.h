@@ -90,34 +90,12 @@ class Rng {
     return lo + static_cast<int64_t>(m >> 64);
   }
 
-  /// One UniformInt(lo, lo + span - 1) draw with the bound reduction
-  /// precomputed by the caller: `span` is the range width (> 0) and
-  /// `floor` = (0 - span) % span. Draw-for-draw identical to UniformInt -
-  /// same values, same NextU64 consumption - this is the form a hot
-  /// fixed-bound loop uses so the divide for `floor` happens once per
-  /// loop, not once per draw (UniformIntBatch is this helper in a loop).
-  int64_t UniformIntHoisted(int64_t lo, uint64_t span, uint64_t floor) {
-    assert(span != 0 && floor == (0 - span) % span);
-    uint64_t x = NextU64();
-    __uint128_t m = static_cast<__uint128_t>(x) * span;
-    uint64_t l = static_cast<uint64_t>(m);
-    if (l < span) {
-      while (l < floor) {
-        x = NextU64();
-        m = static_cast<__uint128_t>(x) * span;
-        l = static_cast<uint64_t>(m);
-      }
-    }
-    return lo + static_cast<int64_t>(m >> 64);
-  }
-
   /// Returns an integer uniform in [0, bound) for bound >= 1. Exactly
   /// UniformInt(0, bound - 1) - same values, same NextU64 consumption
   /// (RngTest locks the identity) - under the name a shrinking-span
-  /// consumer reads naturally. Unlike UniformIntHoisted the bound changes
-  /// every call (a partial Fisher-Yates span shrinks by one per draw), so
-  /// the rejection floor cannot be hoisted; the divide behind the `l <
-  /// bound` pre-check fires with probability bound / 2^64, effectively
+  /// consumer reads naturally. The bound changes every call (a partial
+  /// Fisher-Yates span shrinks by one per draw); the divide behind the
+  /// `l < bound` pre-check fires with probability bound / 2^64, effectively
   /// never at simulation population sizes.
   uint64_t UniformBounded(uint64_t bound) {
     assert(bound != 0);
@@ -153,33 +131,15 @@ class Rng {
     }
   }
 
-  /// Fills `out[0..n)` with integers uniform in [lo, hi]. The emitted value
-  /// sequence AND the generator state afterwards are bit-identical to `n`
-  /// sequential UniformInt(lo, hi) calls (it is UniformIntHoisted in a
-  /// loop), so batched and per-call consumers are interchangeable on a
-  /// shared stream without perturbing golden draw sequences.
-  void UniformIntBatch(int64_t lo, int64_t hi, int64_t* out, size_t n) {
-    assert(lo <= hi);
-    const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-    if (span == 0) {  // full 64-bit range
-      for (size_t i = 0; i < n; ++i) out[i] = static_cast<int64_t>(NextU64());
-      return;
-    }
-    const uint64_t floor = (0 - span) % span;
-    for (size_t i = 0; i < n; ++i) out[i] = UniformIntHoisted(lo, span, floor);
-  }
-
   /// Opaque generator state snapshot (see state()/set_state()).
   struct State {
     uint64_t s[4];
   };
 
   /// Captures the current state. Together with set_state() this lets a
-  /// batched consumer resynchronize with a sequential draw sequence: save,
-  /// draw a speculative batch, and - when only a prefix of it turns out to
-  /// be consumable before a data-dependent draw must interleave - restore
-  /// and replay exactly the consumed prefix. Not for reuse/forking streams:
-  /// replaying a state re-emits the same values by design.
+  /// consumer replay a stretch of draws exactly: save, draw speculatively,
+  /// restore, and the same values come out again. Not for reuse/forking
+  /// streams: replaying a state re-emits the same values by design.
   State state() const;
 
   /// Restores a snapshot taken from this (or an identically seeded) Rng.

@@ -4,8 +4,12 @@
 // registry, and registry-backed instantiation of policies, selections, and
 // estimators).
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -249,52 +253,112 @@ TEST(SelectionTest, ScoreOutranksAgeAndAgeRefinesScoreTies) {
   EXPECT_EQ(out, (std::vector<uint32_t>{3, 1, 2}));
 }
 
-TEST(SelectionTest, PartialSortRankingMatchesStableSortReference) {
-  // The rank strategies replaced their allocating shuffle + std::stable_sort
-  // with an in-place std::partial_sort over (score, age, post-shuffle
-  // position). Stability is exactly "ties keep prior position", so against a
-  // reference implementation that still stable_sorts the shuffled pool, the
-  // chosen ids must match element-for-element - across random pools dense
-  // in score/age ties and at every take size.
+// Fills a test pool in one of three shapes: dense integer ties in score and
+// age; non-integer scores that mix +0.0 with -0.0 (equal as doubles, so they
+// must tie) and two negative values; or ages up to INT32_MAX, the largest age
+// a run can reach, mixed with small ones so every age bit matters.
+std::vector<Candidate> RankingTestPool(size_t size, int shape, util::Rng* fill) {
+  static const double kScores[] = {0.0,  -0.0,      0.25, 0.1,  1e-300,
+                                   2.75, 1.0 / 3.0, -0.5, -2.25};
+  static const sim::Round kAges[] = {0, 1, sim::Round{1} << 30, INT32_MAX - 1,
+                                     INT32_MAX};
+  std::vector<Candidate> pool(size);
+  for (size_t i = 0; i < size; ++i) {
+    pool[i].id = static_cast<uint32_t>(i);
+    switch (shape) {
+      case 0:
+        pool[i].age = fill->UniformInt(0, 3);
+        pool[i].score = static_cast<double>(fill->UniformInt(0, 2));
+        break;
+      case 1:
+        pool[i].age = fill->UniformInt(0, 2);
+        pool[i].score = kScores[fill->UniformBounded(9)];
+        break;
+      default:
+        pool[i].age = kAges[fill->UniformBounded(5)];
+        pool[i].score = kScores[fill->UniformBounded(3)];
+        break;
+    }
+  }
+  return pool;
+}
+
+// The reference ranking: shuffle the pool itself with a stream seeded by
+// `seed`, then stable_sort it on (score, age). Returns the ranked ids and
+// stores the stream's next draw after the shuffle in `*next`.
+std::vector<uint32_t> StableSortRanking(std::vector<Candidate> pool,
+                                        uint64_t seed, bool best_first,
+                                        uint64_t* next) {
+  util::Rng rng(seed);
+  rng.Shuffle(&pool);
+  *next = rng.NextU64();
+  std::stable_sort(pool.begin(), pool.end(),
+                   [best_first](const Candidate& a, const Candidate& b) {
+                     if (a.score != b.score) {
+                       return best_first ? a.score > b.score
+                                         : a.score < b.score;
+                     }
+                     return best_first ? a.age > b.age : a.age < b.age;
+                   });
+  std::vector<uint32_t> ids;
+  for (const Candidate& c : pool) ids.push_back(c.id);
+  return ids;
+}
+
+TEST(SelectionTest, PackedKeyRankingMatchesStableSortReference) {
+  // The rank strategies shuffle an index permutation and take the front of
+  // packed (score, age, post-shuffle position) keys by nth_element plus a
+  // sort. The reference shuffles the pool itself and stable_sorts it on
+  // (score, age): stability is exactly "ties keep prior position", so
+  // the chosen ids must match element for element - for every take from 0
+  // to past the pool size, on pools up to 1,000 candidates (768 is the
+  // initial-placement storm's pool for 256 blocks), both directions.
+  const OldestFirstSelection oldest;
+  const YoungestFirstSelection youngest;
   util::Rng fill(99);
+  uint64_t seed = 1000;
+  const auto check = [&](const std::vector<Candidate>& pool, size_t d_lo,
+                         size_t d_hi, bool best_first) {
+    uint64_t ref_next = 0;
+    const std::vector<uint32_t> reference =
+        StableSortRanking(pool, seed, best_first, &ref_next);
+    const RankSelection& selection =
+        best_first ? static_cast<const RankSelection&>(oldest)
+                   : static_cast<const RankSelection&>(youngest);
+    for (size_t d = d_lo; d <= d_hi; ++d) {
+      const std::vector<uint32_t> want(
+          reference.begin(),
+          reference.begin() +
+              static_cast<std::ptrdiff_t>(std::min(d, pool.size())));
+      auto ranked = pool;
+      util::Rng rng(seed);
+      std::vector<uint32_t> got;
+      selection.Choose(&ranked, static_cast<int>(d), &rng, &got);
+      ASSERT_EQ(got, want) << "size " << pool.size() << " seed " << seed
+                           << " best_first " << best_first << " d=" << d;
+      // Both implementations consumed identical draws: the streams agree.
+      ASSERT_EQ(rng.NextU64(), ref_next) << "seed " << seed << " d=" << d;
+      // Ranking reads the pool and leaves it as it was.
+      for (size_t i = 0; i < pool.size(); ++i) {
+        ASSERT_EQ(ranked[i].id, pool[i].id);
+      }
+    }
+    ++seed;
+  };
+  for (size_t size : {0, 1, 2, 3, 7, 40, 66, 255, 768, 1000}) {
+    for (int shape = 0; shape < 3; ++shape) {
+      const std::vector<Candidate> pool = RankingTestPool(size, shape, &fill);
+      for (const bool best_first : {true, false}) {
+        check(pool, 0, size + 5, best_first);
+      }
+    }
+  }
+  // Random small pool sizes, at one random take each.
   for (int trial = 0; trial < 200; ++trial) {
-    std::vector<Candidate> pool(static_cast<size_t>(fill.UniformInt(1, 40)));
-    for (size_t i = 0; i < pool.size(); ++i) {
-      pool[i].id = static_cast<uint32_t>(i);
-      pool[i].age = fill.UniformInt(0, 3);     // many age ties
-      pool[i].score = static_cast<double>(fill.UniformInt(0, 2));  // and
-      // score ties, so the shuffled-position tie-break actually decides
-    }
-    const int d = static_cast<int>(fill.UniformInt(0, 45));
-    const bool best_first = trial % 2 == 0;
-
-    auto reference = pool;
-    util::Rng ref_rng(1000 + static_cast<uint64_t>(trial));
-    ref_rng.Shuffle(&reference);
-    std::stable_sort(reference.begin(), reference.end(),
-                     [best_first](const Candidate& a, const Candidate& b) {
-                       if (a.score != b.score) {
-                         return best_first ? a.score > b.score
-                                           : a.score < b.score;
-                       }
-                       return best_first ? a.age > b.age : a.age < b.age;
-                     });
-    std::vector<uint32_t> want;
-    for (size_t i = 0;
-         i < std::min<size_t>(static_cast<size_t>(d), reference.size()); ++i) {
-      want.push_back(reference[i].id);
-    }
-
-    util::Rng rng(1000 + static_cast<uint64_t>(trial));
-    std::vector<uint32_t> got;
-    if (best_first) {
-      OldestFirstSelection().Choose(&pool, d, &rng, &got);
-    } else {
-      YoungestFirstSelection().Choose(&pool, d, &rng, &got);
-    }
-    ASSERT_EQ(got, want) << "trial " << trial << " d=" << d;
-    // Both implementations consumed identical draws: the streams agree after.
-    ASSERT_EQ(rng.NextU64(), ref_rng.NextU64());
+    const std::vector<Candidate> pool = RankingTestPool(
+        static_cast<size_t>(fill.UniformInt(1, 40)), trial % 3, &fill);
+    const size_t d = static_cast<size_t>(fill.UniformInt(0, 45));
+    check(pool, d, d, trial % 2 == 0);
   }
 }
 

@@ -1,9 +1,8 @@
-// Field-axiom and kernel tests for GF(2^8) and GF(2^16).
+// Field-axiom and kernel tests for GF(2^8).
 
 #include <gtest/gtest.h>
 
 #include "gf/gf256.h"
-#include "gf/gf65536.h"
 #include "util/rng.h"
 
 namespace p2p {
@@ -148,57 +147,6 @@ TEST(GF256Test, AddBufIsXor) {
   auto d = a;
   GF256::AddBuf(d.data(), b.data(), d.size());
   for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(d[i], a[i] ^ b[i]);
-}
-
-TEST(GF65536Test, InverseSampled) {
-  util::Rng rng(8);
-  for (int i = 0; i < 20'000; ++i) {
-    uint16_t a = static_cast<uint16_t>(rng.NextU32());
-    if (a == 0) a = 1;
-    ASSERT_EQ(GF65536::Mul(a, GF65536::Inv(a)), 1);
-  }
-}
-
-TEST(GF65536Test, AxiomsSampled) {
-  util::Rng rng(9);
-  for (int i = 0; i < 20'000; ++i) {
-    const uint16_t a = static_cast<uint16_t>(rng.NextU32());
-    const uint16_t b = static_cast<uint16_t>(rng.NextU32());
-    const uint16_t c = static_cast<uint16_t>(rng.NextU32());
-    ASSERT_EQ(GF65536::Mul(a, b), GF65536::Mul(b, a));
-    ASSERT_EQ(GF65536::Mul(GF65536::Mul(a, b), c),
-              GF65536::Mul(a, GF65536::Mul(b, c)));
-    ASSERT_EQ(GF65536::Mul(a, GF65536::Add(b, c)),
-              GF65536::Add(GF65536::Mul(a, b), GF65536::Mul(a, c)));
-  }
-}
-
-TEST(GF65536Test, DivisionAndPow) {
-  util::Rng rng(10);
-  for (int i = 0; i < 5'000; ++i) {
-    const uint16_t a = static_cast<uint16_t>(rng.NextU32());
-    uint16_t b = static_cast<uint16_t>(rng.NextU32());
-    if (b == 0) b = 1;
-    ASSERT_EQ(GF65536::Div(GF65536::Mul(a, b), b), a);
-  }
-  EXPECT_EQ(GF65536::Pow(0, 0), 1);
-  EXPECT_EQ(GF65536::Pow(2, 16), GF65536::Mul(GF65536::Pow(2, 15), 2));
-}
-
-TEST(GF65536Test, MulAddBufMatchesScalar) {
-  util::Rng rng(11);
-  std::vector<uint16_t> src(500), dst(500);
-  for (size_t i = 0; i < src.size(); ++i) {
-    src[i] = static_cast<uint16_t>(rng.NextU32());
-    dst[i] = static_cast<uint16_t>(rng.NextU32());
-  }
-  for (uint16_t c : {0, 1, 7777}) {
-    auto d = dst;
-    GF65536::MulAddBuf(d.data(), src.data(), c, d.size());
-    for (size_t i = 0; i < src.size(); ++i) {
-      ASSERT_EQ(d[i], dst[i] ^ GF65536::Mul(c, src[i]));
-    }
-  }
 }
 
 }  // namespace

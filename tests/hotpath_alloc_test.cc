@@ -161,6 +161,45 @@ TEST(HotPathAllocTest, BuildPoolAndSelectionAreAllocationFree) {
   EXPECT_EQ(g_allocs.load(), 0);
 }
 
+TEST(HotPathAllocTest, StormShapedEpisodesAreAllocationFree) {
+  // The largest ranking an episode does: at the paper's k = m = 128 an
+  // initial placement (every episode of the round-0 storm) ranks a
+  // 3 x 256 = 768-candidate pool for 256 blocks. Once one episode of that
+  // shape has sized the scratch, sampling, the rank permutation and the
+  // packed rank keys stay off the heap.
+  P2P_SKIP_IF_NO_ALLOC_COUNTING();
+  const auto profiles = churn::ProfileSet::Paper();
+  sim::EngineOptions eopts;
+  eopts.seed = 5;
+  eopts.end_round = 100;
+  sim::Engine engine(eopts);
+  SystemOptions opts;
+  opts.num_peers = 3000;
+  BackupNetwork network(&engine, &profiles, opts);
+  WarmUp(&engine, 24);
+
+  HotPathProbe probe(&network);
+  std::vector<uint32_t> chosen;
+  chosen.reserve(256);
+  PeerId owner = FindRepairablePeer(network, 0);
+  ASSERT_EQ(probe.BuildPool(owner, 256), 768);
+  probe.Choose(256, &chosen);
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  int64_t pooled = 0;
+  for (int i = 0; i < 20; ++i) {
+    owner = FindRepairablePeer(network, (owner + 1) % 300);
+    pooled += probe.BuildPool(owner, 256);
+    chosen.clear();
+    probe.Choose(256, &chosen);
+  }
+  g_counting.store(false);
+  ASSERT_EQ(pooled, 20 * 768);
+  EXPECT_EQ(chosen.size(), 256u);
+  EXPECT_EQ(g_allocs.load(), 0);
+}
+
 TEST(HotPathAllocTest, SteadyStateEpisodesAreAllocationFree) {
   P2P_SKIP_IF_NO_ALLOC_COUNTING();
   const auto profiles = churn::ProfileSet::Paper();

@@ -333,6 +333,24 @@ bool SameDouble(double a, double b) {
   return a == b || (std::isnan(a) && std::isnan(b));
 }
 
+// A traced run must report exactly what the untraced run reports.
+void ExpectSameOutcome(const scenario::Outcome& traced,
+                       const scenario::Outcome& untraced) {
+  const auto& a = traced.report.values();
+  const auto& b = untraced.report.values();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    const std::string& name = a[i].descriptor->name;
+    EXPECT_EQ(a[i].descriptor, b[i].descriptor) << name;
+    EXPECT_TRUE(SameDouble(a[i].scalar, b[i].scalar)) << name;
+    for (size_t c = 0; c < a[i].per_category.size(); ++c) {
+      EXPECT_TRUE(SameDouble(a[i].per_category[c], b[i].per_category[c]))
+          << name << " category " << c;
+    }
+  }
+  EXPECT_EQ(traced.final_population, untraced.final_population);
+}
+
 // Every placing episode runs the selection ranking and the placement loop
 // once each, directly under repair/place, so those two spans and
 // repair/pool together name all of repair/place's work. Naming them
@@ -360,19 +378,34 @@ TEST(TraceSweepTest, PlaceChildrenRunOncePerPlacingEpisode) {
     EXPECT_EQ(count, place_count) << child;
   }
 
-  const auto& a = traced.report.values();
-  const auto& b = untraced.report.values();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    const std::string& name = a[i].descriptor->name;
-    EXPECT_EQ(a[i].descriptor, b[i].descriptor) << name;
-    EXPECT_TRUE(SameDouble(a[i].scalar, b[i].scalar)) << name;
-    for (size_t c = 0; c < a[i].per_category.size(); ++c) {
-      EXPECT_TRUE(SameDouble(a[i].per_category[c], b[i].per_category[c]))
-          << name << " category " << c;
-    }
-  }
-  EXPECT_EQ(traced.final_population, untraced.final_population);
+  ExpectSameOutcome(traced, untraced);
+}
+
+// With the quota at exactly n blocks per host, total capacity equals total
+// demand, so hosts are full and placements displace younger clients through
+// the quota market. Each displacement runs the eviction scan, which has its
+// own span directly under the placement loop's; naming it changes nothing
+// the simulation computes.
+TEST(TraceSweepTest, EvictSpanNestsUnderTryPlaceOnFullQuotaWorld) {
+  scenario::Scenario scenario = SmallWorld();
+  scenario.options.quota_blocks = scenario.options.k + scenario.options.m;
+  const scenario::Outcome untraced = scenario::RunScenario(scenario);
+
+  TraceSession session;
+  session.Install();
+  const scenario::Outcome traced = scenario::RunScenario(scenario);
+  TraceSession::Uninstall();
+
+  const std::vector<std::string> signature = session.StructureSignature();
+  int place_depth = 0, evict_depth = 0;
+  int64_t place_count = 0, evict_count = 0;
+  ASSERT_TRUE(FindSignature(signature, "repair/try_place", &place_depth,
+                            &place_count));
+  ASSERT_TRUE(FindSignature(signature, "repair/evict", &evict_depth,
+                            &evict_count));
+  EXPECT_EQ(evict_depth, place_depth + 1);
+  EXPECT_GT(evict_count, 0);
+  ExpectSameOutcome(traced, untraced);
 }
 
 }  // namespace

@@ -122,53 +122,24 @@ TEST(RngTest, UniformIntRespectsBounds) {
   EXPECT_EQ(seen.size(), 11u);  // every value reached
 }
 
-TEST(RngTest, UniformIntBatchMatchesSequentialDraws) {
-  // The contract hot paths build on: UniformIntBatch(lo, hi, out, n) emits
-  // byte-for-byte the values of n sequential UniformInt(lo, hi) calls AND
-  // leaves the generator in the identical state. Exercised across spans
-  // small enough to hit the Lemire rejection path with real probability.
-  const int64_t kRanges[][2] = {{0, 0},   {0, 1},     {-3, 7},
-                                {0, 999}, {0, 24999}, {-50, 50}};
-  for (const auto& r : kRanges) {
-    Rng seq(777), bat(777);
-    int64_t expect[257];
-    int64_t got[257];
-    // Uneven batch sizes so batch boundaries land at arbitrary stream
-    // offsets.
-    const size_t sizes[] = {1, 7, 64, 185};
-    size_t total = 0;
-    for (size_t n : sizes) {
-      for (size_t i = 0; i < n; ++i) expect[i] = seq.UniformInt(r[0], r[1]);
-      bat.UniformIntBatch(r[0], r[1], got, n);
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], expect[i])
-            << "range [" << r[0] << "," << r[1] << "] draw " << total + i;
-      }
-      total += n;
-    }
-    // States converged: the two generators stay in lockstep forever after.
-    for (int i = 0; i < 32; ++i) ASSERT_EQ(seq.NextU64(), bat.NextU64());
-  }
-}
-
 TEST(RngTest, StateRoundTripReplaysExactly) {
-  // The save / speculative-batch / restore-and-replay resync pattern
-  // (BackupNetwork::BuildPool) in miniature.
+  // Save, draw speculatively, restore: the replay re-emits the same values
+  // and the stream continues exactly as if only the replayed draws had run.
   Rng rng(42);
   rng.NextU64();  // move off the seed state
   const Rng::State saved = rng.state();
-  int64_t batch[16];
-  rng.UniformIntBatch(0, 99, batch, 16);
+  uint64_t speculative[16];
+  for (uint64_t& v : speculative) v = rng.UniformBounded(100);
   // Only 5 of the 16 speculative draws were consumable: rewind, replay the
   // prefix, and the next values must continue the sequential stream.
   rng.set_state(saved);
-  int64_t replay[5];
-  rng.UniformIntBatch(0, 99, replay, 5);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(replay[i], batch[i]);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(rng.UniformBounded(100), speculative[i]);
+  }
 
   Rng ref(42);
   ref.NextU64();
-  for (int i = 0; i < 5; ++i) ref.UniformInt(0, 99);
+  for (int i = 0; i < 5; ++i) ref.UniformBounded(100);
   for (int i = 0; i < 32; ++i) ASSERT_EQ(rng.NextU64(), ref.NextU64());
 }
 
