@@ -19,7 +19,7 @@
 #include "archive/builder.h"
 #include "archive/delta.h"
 #include "archive/master_block.h"
-#include "backup/pipeline.h"
+#include "archive/pipeline.h"
 #include "crypto/proof_of_storage.h"
 #include "util/rng.h"
 
@@ -69,12 +69,12 @@ int main() {
               archives.size(), files.size() + 1);
 
   // --- 2. Encode every archive into encrypted shards. ---
-  auto pipeline = backup::BackupPipeline::Create(kDataShards, kParityShards);
+  auto pipeline = archive::BackupPipeline::Create(kDataShards, kParityShards);
   if (!pipeline.ok()) return 1;
   archive::MasterBlock master;
   master.owner_id = 1;
   master.sequence = 1;
-  std::vector<backup::EncodedArchive> encoded;
+  std::vector<archive::EncodedArchive> encoded;
   for (const auto& a : archives) {
     auto enc = (*pipeline)->Encode(a, &rng);
     if (!enc.ok()) return 1;

@@ -30,8 +30,8 @@ hot-path-alloc
     bans heap traffic: `new`, make_unique/make_shared, std::string
     construction and std::to_string temporaries, and
     push_back/emplace_back on a container with no reserve() call anywhere
-    in the same file. The annotated regions are the BuildPool / RefreshElig
-    / selection-scratch code whose zero-allocation claim
+    in the same file. The annotated regions are the BuildPool / candidate
+    index / selection-scratch code whose zero-allocation claim
     tests/hotpath_alloc_test.cc proves at runtime; the linter keeps the
     property reviewable at the diff level. Unbalanced or nested begin/end
     markers are themselves violations.

@@ -1,15 +1,14 @@
-#include "backup/pipeline.h"
+#include "archive/pipeline.h"
 
 #include <cstring>
 
 #include "erasure/erasure_code.h"
 
 namespace p2p {
-namespace backup {
+namespace archive {
 
-archive::ArchiveRecord EncodedArchive::ToRecord(int k, int m,
-                                                bool is_metadata) const {
-  archive::ArchiveRecord rec;
+ArchiveRecord EncodedArchive::ToRecord(int k, int m, bool is_metadata) const {
+  ArchiveRecord rec;
   rec.archive_id = archive_id;
   rec.k = static_cast<uint32_t>(k);
   rec.m = static_cast<uint32_t>(m);
@@ -39,7 +38,7 @@ crypto::Nonce96 BackupPipeline::NonceFor(uint64_t archive_id) {
   return nonce;
 }
 
-util::Result<EncodedArchive> BackupPipeline::Encode(const archive::Archive& a,
+util::Result<EncodedArchive> BackupPipeline::Encode(const Archive& a,
                                                     util::Rng* rng) const {
   EncodedArchive out;
   out.archive_id = a.id();
@@ -86,7 +85,7 @@ util::Status BackupPipeline::Repair(std::vector<std::vector<uint8_t>>* shards,
   return codec_->Decode(ptrs, present, shard_size);
 }
 
-util::Result<archive::Archive> BackupPipeline::Decode(
+util::Result<Archive> BackupPipeline::Decode(
     const std::vector<std::vector<uint8_t>>& shards,
     const std::vector<bool>& present, size_t shard_size, uint64_t archive_size,
     const crypto::Digest& expected_digest, const crypto::Key256& session_key,
@@ -102,8 +101,8 @@ util::Result<archive::Archive> BackupPipeline::Decode(
   if (crypto::Sha256::Hash(plain) != expected_digest) {
     return util::Status::Corruption("restored archive digest mismatch");
   }
-  return archive::Archive::Deserialize(plain);
+  return Archive::Deserialize(plain);
 }
 
-}  // namespace backup
+}  // namespace archive
 }  // namespace p2p

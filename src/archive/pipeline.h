@@ -5,8 +5,8 @@
 // everything in the master block. Restoration runs the same path backwards
 // from any k surviving shards.
 
-#ifndef P2P_BACKUP_PIPELINE_H_
-#define P2P_BACKUP_PIPELINE_H_
+#ifndef P2P_ARCHIVE_PIPELINE_H_
+#define P2P_ARCHIVE_PIPELINE_H_
 
 #include <cstdint>
 #include <memory>
@@ -22,7 +22,7 @@
 #include "util/rng.h"
 
 namespace p2p {
-namespace backup {
+namespace archive {
 
 /// \brief An archive turned into placeable blocks.
 struct EncodedArchive {
@@ -35,7 +35,7 @@ struct EncodedArchive {
   std::vector<std::vector<uint8_t>> shards;  ///< n = k + m encrypted shards
 
   /// Fills an ArchiveRecord (placement hosts are appended by the caller).
-  archive::ArchiveRecord ToRecord(int k, int m, bool is_metadata) const;
+  ArchiveRecord ToRecord(int k, int m, bool is_metadata) const;
 };
 
 /// \brief Stateless encoder/decoder for the (k, m) configuration.
@@ -46,13 +46,12 @@ class BackupPipeline {
 
   /// Serializes, encrypts and shards one archive. `rng` supplies the
   /// session key.
-  util::Result<EncodedArchive> Encode(const archive::Archive& a,
-                                      util::Rng* rng) const;
+  util::Result<EncodedArchive> Encode(const Archive& a, util::Rng* rng) const;
 
   /// Rebuilds the archive from surviving shards. `shards[i]` is ignored
   /// when `present[i]` is false; at least k shards must be present.
   /// Verifies the plaintext digest before parsing.
-  util::Result<archive::Archive> Decode(
+  util::Result<Archive> Decode(
       const std::vector<std::vector<uint8_t>>& shards,
       const std::vector<bool>& present, size_t shard_size,
       uint64_t archive_size, const crypto::Digest& expected_digest,
@@ -76,7 +75,7 @@ class BackupPipeline {
   std::unique_ptr<erasure::ReedSolomon> codec_;
 };
 
-}  // namespace backup
+}  // namespace archive
 }  // namespace p2p
 
-#endif  // P2P_BACKUP_PIPELINE_H_
+#endif  // P2P_ARCHIVE_PIPELINE_H_

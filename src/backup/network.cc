@@ -116,15 +116,16 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
   peers_.resize(normal_slots_);
   partners_.resize(normal_slots_);
   clients_.resize(normal_slots_);
-  // Hot-path lanes and scratch (README "Hot path"): all-zero eligibility is
-  // correct for the not-yet-live slots peers_.resize() just created, and -1
-  // marks every score-memo entry invalid (rounds start at 0).
-  elig_.assign(normal_slots_ + kMaxObservers, 0);
+  // Hot-path lanes and scratch (README "Hot path"): zero join rounds and
+  // hosted blocks are correct for the not-yet-live slots peers_.resize()
+  // just created, and -1 marks every score-memo entry invalid (rounds start
+  // at 0).
   join_lane_.assign(normal_slots_ + kMaxObservers, 0);
+  hosted_.assign(normal_slots_ + kMaxObservers, 0);
   score_round_.assign(normal_slots_ + kMaxObservers, -1);
   score_val_.assign(normal_slots_ + kMaxObservers, 0.0);
   // Eligible-candidate index: empty until BootstrapPopulation below inserts
-  // the initial members via RefreshElig. Reserved to the id-space bound so
+  // the initial members via SyncIndex. Reserved to the id-space bound so
   // CandInsert never reallocates - the zero-allocation episode guarantee
   // (hotpath_alloc_test) extends to index maintenance.
   cand_pos_.assign(normal_slots_, kCandAbsent);
@@ -148,13 +149,10 @@ size_t BackupNetwork::AddObserver(const std::string& name, sim::Round frozen_age
   partners_.emplace_back();
   clients_.emplace_back();
   PeerState& p = peers_.back();
-  p.is_observer = true;
   p.live = true;
   p.frozen_age = frozen_age;
   p.online = true;
   p.needs_repair = true;
-  RefreshElig(id);  // observers are never candidates, but the lane mirrors
-                    // every id so CheckInvariants stays uniform
   monitor_.RecordJoin(id, 0);
   monitor_.RecordConnect(id, 0);
   EnqueueRepair(id);
@@ -167,9 +165,9 @@ void BackupNetwork::InitPeer(PeerId id, sim::Round now) {
   p = PeerState();
   p.incarnation = incarnation;
   p.live = true;
-  ++live_count_;
   p.profile = profiles_->SampleIndex(churn_rng_);
-  p.join_round = now;
+  join_lane_[id] = now;
+  hosted_[id] = 0;  // ghost quota of the previous incarnation dies with it
 
   const churn::Profile& profile = (*profiles_)[p.profile];
   const sim::Round lifetime = profile.lifetime->Sample(churn_rng_);
@@ -196,9 +194,7 @@ void BackupNetwork::InitPeer(PeerId id, sim::Round now) {
   p.needs_repair = true;
   collector_.OnRepairFlagged(id, now);
   EnqueueRepair(id);
-
-  join_lane_[id] = now;
-  RefreshElig(id);
+  SyncIndex(id);
 }
 
 void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
@@ -208,18 +204,17 @@ void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
     transfer_->Cancel(id);
     p.transfer_pending = false;
   }
-  --live_count_;
   collector_.OnDeparture(id, CategoryAt(id, now));
   monitor_.RecordDeparture(id, now);
   // Online estimators learn the departure-age distribution as it unfolds.
-  estimator_->ObserveDeparture(now - p.join_round);
+  estimator_->ObserveDeparture(now - join_lane_[id]);
 
   // The machine is gone: every block it hosted disappears now.
   SeverAsHost(id, now);
 
   // Its own backup: partners learn of the departure and free the space -
   // immediately in the paper, after a grace period as future work.
-  if (options_.departure_grace > 0 && !p.is_observer) {
+  if (options_.departure_grace > 0 && !IsObserver(id)) {
     // Sever the metadata now but keep the hosts' quota consumed ("ghost
     // quota") until the grace period elapses.
     while (!partners_[id].empty()) {
@@ -240,7 +235,8 @@ void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
     const uint32_t incarnation = p.incarnation;
     p = PeerState();
     p.incarnation = incarnation;
-    RefreshElig(id);
+    hosted_[id] = 0;
+    SyncIndex(id);
     return;
   }
   InitPeer(id, now);  // immediate replacement (paper 4.1)
@@ -254,7 +250,7 @@ void BackupNetwork::ApplyAdjustment(const PopulationAdjustment& adj,
     // the churn stream so runs stay reproducible). Local vector: DepartPeer
     // clobbers the shared scratch buffers.
     std::vector<PeerId> live;
-    live.reserve(static_cast<size_t>(live_count_));
+    live.reserve(cand_index_.size());
     for (PeerId id = 0; id < normal_slots_; ++id) {
       if (peers_[id].live) live.push_back(id);
     }
@@ -290,10 +286,8 @@ void BackupNetwork::OnRound(sim::Round now) {
     toggles_.DrainInto(now, [&](const Event& e) { ProcessToggle(e, now); });
     timeouts_.DrainInto(now, [&](const Event& e) { ProcessTimeout(e, now); });
     quota_releases_.DrainInto(now, [&](const Event& e) {
-      if (peers_[e.id].incarnation == e.incarnation &&
-          peers_[e.id].hosted > 0) {
-        --peers_[e.id].hosted;
-        RefreshElig(e.id);
+      if (peers_[e.id].incarnation == e.incarnation && hosted_[e.id] > 0) {
+        --hosted_[e.id];
       }
     });
     category_events_.DrainInto(
@@ -315,7 +309,8 @@ void BackupNetwork::OnRound(sim::Round now) {
 
 void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
   PeerState& p = peers_[e.id];
-  if (p.incarnation != e.incarnation || p.next_toggle != now || p.is_observer) {
+  if (p.incarnation != e.incarnation || p.next_toggle != now ||
+      IsObserver(e.id)) {
     return;  // stale
   }
   const churn::Profile& profile = (*profiles_)[p.profile];
@@ -349,7 +344,7 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
     const sim::Round on_len = profile.sessions.SampleOnline(churn_rng_);
     p.next_toggle = now + on_len;
   }
-  RefreshElig(e.id);
+  SyncIndex(e.id);
   toggles_.Schedule(p.next_toggle, Event{e.id, p.incarnation, p.next_toggle});
 }
 
@@ -372,13 +367,14 @@ void BackupNetwork::ProcessTimeout(const Event& e, sim::Round now) {
 void BackupNetwork::ProcessCategory(const Event& e, sim::Round now) {
   PeerState& p = peers_[e.id];
   if (p.incarnation != e.incarnation) return;
-  const sim::Round age = now - p.join_round;
+  const sim::Round age = now - join_lane_[e.id];
   const metrics::AgeCategory from = metrics::CategoryOf(age - 1);
   const metrics::AgeCategory to = metrics::CategoryOf(age);
   if (from != to) collector_.PeerAdvanced(from, to);
   const sim::Round next = metrics::NextBoundary(age);
   if (next != sim::kNever) {
-    category_events_.Schedule(p.join_round + next, Event{e.id, e.incarnation, 0});
+    category_events_.Schedule(join_lane_[e.id] + next,
+                              Event{e.id, e.incarnation, 0});
   }
 }
 
@@ -390,14 +386,12 @@ void BackupNetwork::AddPartnership(PeerId owner, PeerId host) {
   clients_[host].push_back(
       ClientLink{owner, static_cast<uint32_t>(partners_[owner].size()) - 1});
   PeerState& h = peers_[host];
-  if (!peers_[owner].is_observer) {
-    ++h.hosted;
-    h.newest_client_join = std::max(h.newest_client_join,
-                                    peers_[owner].join_round);
+  if (!IsObserver(owner)) {
+    ++hosted_[host];
+    h.newest_client_join = std::max(h.newest_client_join, join_lane_[owner]);
   } else {
     ++h.observer_clients;
   }
-  RefreshElig(host);  // hosted may have crossed the quota boundary
   if (instant_visibility() && h.online) ++peers_[owner].visible;
 }
 
@@ -408,7 +402,7 @@ void BackupNetwork::RemovePartnerAt(PeerId owner, uint32_t index,
   const uint32_t j = link.back;
   // Observer-owned partnerships are excluded from the lifetime probe, like
   // every other observer-side measurement.
-  if (!peers_[owner].is_observer) {
+  if (!IsObserver(owner)) {
     collector_.OnPartnershipEnded(engine_->now() - link.formed);
   }
   // Swap-remove the twin on the host side.
@@ -426,15 +420,14 @@ void BackupNetwork::RemovePartnerAt(PeerId owner, uint32_t index,
   }
   partners_[owner].pop_back();
   PeerState& h = peers_[host];
-  if (!peers_[owner].is_observer) {
-    if (release_quota && h.hosted > 0) --h.hosted;
-    if (peers_[owner].join_round >= h.newest_client_join) {
+  if (!IsObserver(owner)) {
+    if (release_quota && hosted_[host] > 0) --hosted_[host];
+    if (join_lane_[owner] >= h.newest_client_join) {
       h.newest_client_join = -2;  // stale; recomputed lazily on demand
     }
   } else if (h.observer_clients > 0) {
     --h.observer_clients;
   }
-  RefreshElig(host);  // hosted may have crossed back under the quota
   if (instant_visibility() && h.online && peers_[owner].visible > 0) {
     --peers_[owner].visible;
   }
@@ -484,8 +477,8 @@ int BackupNetwork::VisibleBasis(PeerId id) const {
 }
 
 sim::Round BackupNetwork::EffectiveJoin(PeerId id) const {
-  const PeerState& p = peers_[id];
-  return p.is_observer ? engine_->now() - p.frozen_age : p.join_round;
+  return IsObserver(id) ? engine_->now() - peers_[id].frozen_age
+                        : join_lane_[id];
 }
 
 sim::Round BackupNetwork::MarketAge(PeerId id) const {
@@ -497,16 +490,16 @@ sim::Round BackupNetwork::YoungestClientJoin(PeerId host) {
   if (h.newest_client_join == -2) {
     h.newest_client_join = -1;
     for (const ClientLink& c : clients_[host]) {
-      if (!peers_[c.owner].is_observer) {
+      if (!IsObserver(c.owner)) {
         h.newest_client_join =
-            std::max(h.newest_client_join, peers_[c.owner].join_round);
+            std::max(h.newest_client_join, join_lane_[c.owner]);
       }
     }
   }
   sim::Round youngest = h.newest_client_join;
   if (h.observer_clients > 0) {
     for (const ClientLink& c : clients_[host]) {
-      if (peers_[c.owner].is_observer) {
+      if (IsObserver(c.owner)) {
         youngest = std::max(youngest, EffectiveJoin(c.owner));
       }
     }
@@ -535,11 +528,10 @@ bool BackupNetwork::TryEvictYoungestClient(PeerId host, sim::Round newer_than,
 }
 
 bool BackupNetwork::TryPlaceBlock(PeerId owner, PeerId host, sim::Round now) {
-  PeerState& h = peers_[host];
-  if (h.hosted >= options_.quota_blocks) {
+  if (hosted_[host] >= options_.quota_blocks) {
     if (!options_.quota_market) return false;
     const sim::Round owner_age = MarketAge(owner);
-    if (peers_[owner].is_observer) {
+    if (IsObserver(owner)) {
       // Observers must experience the same market a real peer of their
       // frozen age would, but their phantom blocks must not displace real
       // ones: admissible only when an eviction would have been possible.
@@ -550,7 +542,7 @@ bool BackupNetwork::TryPlaceBlock(PeerId owner, PeerId host, sim::Round now) {
       AddPartnership(owner, host);
       return true;
     }
-    while (h.hosted >= options_.quota_blocks) {
+    while (hosted_[host] >= options_.quota_blocks) {
       if (!TryEvictYoungestClient(host, owner_age, now)) return false;
     }
   }
@@ -579,7 +571,7 @@ void BackupNetwork::HandleArchiveLoss(PeerId owner, sim::Round now) {
     transfer_->Cancel(owner);
     p.transfer_pending = false;
   }
-  if (p.is_observer) {
+  if (IsObserver(owner)) {
     collector_.OnObserverLoss(owner - normal_slots_);
   } else {
     collector_.OnLoss(CategoryAt(owner, now));
@@ -597,7 +589,7 @@ void BackupNetwork::FlagForRepair(PeerId id) {
   // Observers are measurement instruments: like the category accounting,
   // the episode probes (time-to-repair, vulnerability) exclude them, so
   // adding an observer never moves a reported system metric.
-  if (!p.needs_repair && !p.is_observer) {
+  if (!p.needs_repair && !IsObserver(id)) {
     collector_.OnRepairFlagged(id, engine_->now());
   }
   p.needs_repair = true;
@@ -660,7 +652,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
         // Recovered above the trigger level (e.g. partners came back
         // online) before the repair started: nothing to do.
         p.needs_repair = false;
-        if (!p.is_observer) collector_.OnRepairCleared(id, now);
+        if (!IsObserver(id)) collector_.OnRepairCleared(id, now);
         return;
       }
       // Honor the policy's redundancy verdict (adaptive-redundancy moves
@@ -677,7 +669,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
     // placement is mandatory regardless of policy.
     p.episode_active = true;
     p.episode_placed = 0;
-    if (p.is_observer) {
+    if (IsObserver(id)) {
       TRACE_COUNTER("repair/observer_episodes", 1);
       collector_.OnObserverRepair(id - normal_slots_);
     } else {
@@ -720,7 +712,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
 
   if (static_cast<int>(partners_[id].size()) >= p.episode_target) {
     p.episode_active = false;
-    if (transfer_ && !p.is_observer) {
+    if (transfer_ && !IsObserver(id)) {
       // Placement chose the hosts; the bytes still have to move on the
       // link. The repair flag (and the vulnerability window) clears only
       // when the scheduler reports the job's last byte.
@@ -730,7 +722,9 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
       return;
     }
     p.needs_repair = false;
-    if (!p.is_observer) collector_.OnRepairCleared(id, now, /*initial=*/!p.backed_up);
+    if (!IsObserver(id)) {
+      collector_.OnRepairCleared(id, now, /*initial=*/!p.backed_up);
+    }
     p.last_repair = now;
     p.backed_up = true;
     // The refreshed set may still sit under the trigger level (newly placed
@@ -845,7 +839,8 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
   for (const Link& link : partners_[owner]) pre_take(link.host);
   uint32_t remaining =
       (online_total - online_taken) + (offline_total - offline_taken);
-  const uint8_t* const elig = elig_.data();
+  const int* const hosted = hosted_.data();
+  const int quota = options_.quota_blocks;
   const sim::Round* const join_lane = join_lane_.data();
   util::Rng* const rng = place_rng_;
   const bool use_acceptance = options_.use_acceptance;
@@ -867,7 +862,7 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
                cand_online_ + offline_taken);
       c = cand_index_[cand_online_ + offline_taken++];
     }
-    if ((elig[c] & kEligQuotaFull) != 0) {
+    if (hosted[c] >= quota) {
       // Full hosts stay in the market for peers older than their youngest
       // client (tit-for-tat displacement).
       if (!quota_market) {
@@ -939,13 +934,12 @@ double BackupNetwork::ReadLossRate(PeerId id, sim::Round now) const {
 }
 
 sim::Round BackupNetwork::AgeOf(PeerId id) const {
-  const PeerState& p = peers_[id];
-  if (p.is_observer) return p.frozen_age;
-  return engine_->now() - p.join_round;
+  if (IsObserver(id)) return peers_[id].frozen_age;
+  return engine_->now() - join_lane_[id];
 }
 
 metrics::AgeCategory BackupNetwork::CategoryAt(PeerId id, sim::Round now) const {
-  return metrics::CategoryOf(now - peers_[id].join_round);
+  return metrics::CategoryOf(now - join_lane_[id]);
 }
 
 BackupNetwork::PopulationStats BackupNetwork::ComputePopulationStats() const {
@@ -954,11 +948,12 @@ BackupNetwork::PopulationStats BackupNetwork::ComputePopulationStats() const {
     if (!peers_[id].live) continue;
     s.mean_partners += static_cast<double>(partners_[id].size());
     s.mean_visible += static_cast<double>(peers_[id].visible);
-    s.mean_hosted += static_cast<double>(peers_[id].hosted);
+    s.mean_hosted += static_cast<double>(hosted_[id]);
     s.online_fraction += peers_[id].online ? 1.0 : 0.0;
     s.backed_up += peers_[id].backed_up ? 1 : 0;
   }
-  const double p = live_count_ > 0 ? static_cast<double>(live_count_) : 1.0;
+  const double p =
+      cand_index_.empty() ? 1.0 : static_cast<double>(cand_index_.size());
   s.mean_partners /= p;
   s.mean_visible /= p;
   s.mean_hosted /= p;
@@ -975,7 +970,7 @@ BackupNetwork::PartnerSetStats BackupNetwork::ComputePartnerStats(
     const PeerState& host = peers_[link.host];
     s.mean_nominal_availability += (*profiles_)[host.profile].availability;
     s.mean_age_days +=
-        sim::RoundsToDays(engine_->now() - host.join_round);
+        sim::RoundsToDays(engine_->now() - join_lane_[link.host]);
     if (host.profile < s.profile_counts.size()) {
       ++s.profile_counts[host.profile];
     }
@@ -989,7 +984,6 @@ void BackupNetwork::CheckInvariants() const {
   const int n = options_.k + options_.m;
   const int bound = instant_visibility() ? partner_cap_ : n;
   std::vector<int> hosted_check(peers_.size(), 0);
-  int64_t live_check = 0;
   for (PeerId o = 0; o < peers_.size(); ++o) {
     if (!peers_[o].live) {
       // Vacant slot (reserved for a future join or emptied by a mass exit):
@@ -997,10 +991,9 @@ void BackupNetwork::CheckInvariants() const {
       P2P_CHECK(partners_[o].empty());
       P2P_CHECK(clients_[o].empty());
       P2P_CHECK(!peers_[o].online);
-      P2P_CHECK(peers_[o].hosted == 0);
+      P2P_CHECK(hosted_[o] == 0);
       continue;
     }
-    if (!peers_[o].is_observer) ++live_check;
     P2P_CHECK(static_cast<int>(partners_[o].size()) <= bound);
     if (instant_visibility()) {
       int visible_check = 0;
@@ -1016,7 +1009,7 @@ void BackupNetwork::CheckInvariants() const {
       P2P_CHECK(link.back < clients_[link.host].size());
       const ClientLink& twin = clients_[link.host][link.back];
       P2P_CHECK(twin.owner == o && twin.back == i);
-      if (!peers_[o].is_observer) ++hosted_check[link.host];
+      if (!IsObserver(o)) ++hosted_check[link.host];
     }
     // Distinctness: no host appears twice for one owner.
     std::vector<PeerId> hosts;
@@ -1025,22 +1018,11 @@ void BackupNetwork::CheckInvariants() const {
     std::sort(hosts.begin(), hosts.end());
     P2P_CHECK(std::adjacent_find(hosts.begin(), hosts.end()) == hosts.end());
   }
-  P2P_CHECK(live_check == live_count_);
-  // The SoA hot-path lanes must mirror PeerState exactly (RefreshElig is
-  // called at every mutation site; a miss here means a site was forgotten).
-  for (PeerId id = 0; id < peers_.size(); ++id) {
-    const PeerState& p = peers_[id];
-    const uint8_t want = static_cast<uint8_t>(
-        (p.live ? kEligLive : 0) | (p.online ? kEligOnline : 0) |
-        (p.hosted >= options_.quota_blocks ? kEligQuotaFull : 0));
-    P2P_CHECK(elig_[id] == want);
-    if (p.live && !p.is_observer) P2P_CHECK(join_lane_[id] == p.join_round);
-  }
   // Eligible-candidate index oracle: the index must hold every live normal
   // peer exactly once with the online partition boundary exact and the
   // position map inverting the array; dead and observer ids must be absent.
-  // RefreshElig maintains it by O(1) diffs at every transition site - a
-  // miss here means a transition escaped the diff.
+  // SyncIndex maintains it by O(1) diffs at every live/online transition -
+  // a miss here means a transition escaped the diff.
   P2P_CHECK(cand_pos_.size() == normal_slots_);
   P2P_CHECK(cand_index_.size() <= normal_slots_);  // reserve() bound holds
   P2P_CHECK(cand_online_ <= cand_index_.size());
@@ -1068,18 +1050,18 @@ void BackupNetwork::CheckInvariants() const {
     }
     P2P_CHECK(p.transfer_pending == transfer_->HasJob(id));
     if (p.transfer_pending) {
-      P2P_CHECK(p.live && !p.is_observer);
+      P2P_CHECK(p.live && !IsObserver(id));
       P2P_CHECK(!p.episode_active);
       P2P_CHECK(p.needs_repair);
     }
   }
   for (PeerId h = 0; h < peers_.size(); ++h) {
     if (options_.departure_grace == 0) {
-      P2P_CHECK(peers_[h].hosted == hosted_check[h]);
+      P2P_CHECK(hosted_[h] == hosted_check[h]);
     } else {
-      P2P_CHECK(peers_[h].hosted >= hosted_check[h]);  // ghost quota allowed
+      P2P_CHECK(hosted_[h] >= hosted_check[h]);  // ghost quota allowed
     }
-    P2P_CHECK(peers_[h].hosted <= options_.quota_blocks ||
+    P2P_CHECK(hosted_[h] <= options_.quota_blocks ||
               options_.quota_blocks == 0);
   }
 }

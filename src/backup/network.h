@@ -69,12 +69,12 @@ struct HotPathProbe;
 /// Hot-path layout (see README "Hot path"): candidate sampling runs on an
 /// incrementally maintained dense eligible-candidate index (a partitioned
 /// id array whose prefix is the live+online peers, swap-with-last updated
-/// at every state transition), so a draw lands on an eligible peer by
+/// at every live/online transition), so a draw lands on an eligible peer by
 /// construction - partial Fisher-Yates over the index replaces rejection
-/// sampling over the id space. Dense SoA lanes (a one-byte eligibility
-/// mask and a join-round lane) back the remaining per-draw filters, every
-/// scratch buffer is a reused per-network member so a steady-state repair
-/// episode performs zero heap allocations, and estimator scores are
+/// sampling over the id space. Dense lanes, each the only copy of its fact
+/// (hosted blocks and join round), back the remaining per-draw filters,
+/// every scratch buffer is a reused per-network member so a steady-state
+/// repair episode performs zero heap allocations, and estimator scores are
 /// memoized per (peer, round).
 class BackupNetwork {
  public:
@@ -107,7 +107,9 @@ class BackupNetwork {
   uint32_t total_ids() const { return static_cast<uint32_t>(peers_.size()); }
   /// Live normal peers right now (excludes observers and vacated slots);
   /// equals num_peers until a workload adjustment fires.
-  int64_t LivePopulation() const { return live_count_; }
+  int64_t LivePopulation() const {
+    return static_cast<int64_t>(cand_index_.size());
+  }
   /// True while `id` denotes a member of the system (observers included).
   bool IsLive(PeerId id) const { return peers_[id].live; }
   bool IsOnline(PeerId id) const { return peers_[id].online; }
@@ -116,7 +118,7 @@ class BackupNetwork {
     return static_cast<int>(partners_[id].size());
   }
   int VisibleBlocks(PeerId id) const { return peers_[id].visible; }
-  int HostedBlocks(PeerId id) const { return peers_[id].hosted; }
+  int HostedBlocks(PeerId id) const { return hosted_[id]; }
   sim::Round AgeOf(PeerId id) const;
   uint32_t ProfileOf(PeerId id) const { return peers_[id].profile; }
   const SystemOptions& options() const { return options_; }
@@ -207,19 +209,20 @@ class BackupNetwork {
   static_assert(sizeof(Link) == 12, "owner-side link must stay 12 bytes");
   static_assert(sizeof(ClientLink) == 8, "host-side link must stay 8 bytes");
 
+  // A peer's join round and hosted blocks live in the dense lanes
+  // join_lane_ and hosted_; whether it is an observer follows from its id
+  // (IsObserver).
   struct PeerState {
     uint32_t profile = 0;
     uint32_t incarnation = 0;
     // Member of the system right now. False for join slots that have not
     // been activated yet and for slots vacated by a mass exit.
     bool live = false;
-    sim::Round join_round = 0;
     sim::Round departure_round = sim::kNever;
     sim::Round next_toggle = sim::kNever;
     sim::Round offline_since = -1;
     sim::Round last_repair = -1;
     bool online = false;
-    bool is_observer = false;
     bool backed_up = false;
     bool needs_repair = false;
     bool in_repair_queue = false;
@@ -234,7 +237,6 @@ class BackupNetwork {
     // restore_to verdict, clamped to [k, n]); n for initial placements.
     int episode_target = 0;
     sim::Round frozen_age = 0;  // observers only
-    int hosted = 0;             // quota consumed by non-observer clients
     int visible = 0;            // partners online right now (instant mode)
     int observer_clients = 0;   // observer-owned blocks on this host
     // Join round of the youngest normal client; -1 none, -2 stale cache.
@@ -315,6 +317,8 @@ class BackupNetwork {
   bool instant_visibility() const {
     return options_.visibility == VisibilityModel::kInstantOnline;
   }
+  /// Observers take the ids above the normal-peer slots (AddObserver).
+  bool IsObserver(PeerId id) const { return id >= normal_slots_; }
 
   metrics::AgeCategory CategoryAt(PeerId id, sim::Round now) const;
 
@@ -325,7 +329,6 @@ class BackupNetwork {
   // scheduled workload join. Observers live above this bound.
   uint32_t normal_slots_ = 0;
   uint32_t next_join_slot_ = 0;  // first never-used slot
-  int64_t live_count_ = 0;
   std::vector<PopulationAdjustment> workload_;
   size_t workload_next_ = 0;
   std::unique_ptr<core::SelectionStrategy> selection_;
@@ -352,26 +355,17 @@ class BackupNetwork {
   std::vector<PeerId> scratch_queue_;
   std::vector<PeerId> scratch_owners_;
 
-  // --- repair hot path (candidate index, SoA lanes, scratch, memo) ---
-  // Eligibility bits mirrored out of PeerState so the sampling pass touches
-  // one dense byte per candidate instead of a ~100-byte struct. Maintained
-  // by RefreshElig at every site that flips live/online or moves hosted
-  // across the quota boundary; CheckInvariants cross-checks the mirror.
-  static constexpr uint8_t kEligLive = 1u << 0;
-  static constexpr uint8_t kEligOnline = 1u << 1;
-  static constexpr uint8_t kEligQuotaFull = 1u << 2;
-
+  // --- repair hot path (candidate index, dense lanes, scratch, memo) ---
   // Eligible-candidate index: a dense partitioned id array holding every
   // live normal peer exactly once - [0, cand_online_) live AND online, the
   // rest live but offline - with cand_pos_ mapping id -> position
-  // (kCandAbsent while not a member). Every update is an O(1) boundary/last
-  // swap driven by the eligibility diff RefreshElig computes anyway, so
-  // "maintain the index" rides the exact transition sites the SoA lanes
-  // already instrument (join, departure, online toggle, placement, quota
-  // release) and can never drift onto a site of its own. BuildPool samples
-  // without replacement by partial Fisher-Yates over the lane prefix, so a
-  // draw lands on an eligible peer by construction and the draw budget
-  // scales with the eligible set, not the population.
+  // (kCandAbsent while not a member). The index is the only record of which
+  // state it last saw, so SyncIndex diffs PeerState against it and applies
+  // an O(1) boundary/last swap at the three sites that change live or
+  // online (join, mass-exit vacate, online toggle). BuildPool samples
+  // without replacement by partial Fisher-Yates over the index, so a draw
+  // lands on an eligible peer by construction and the draw budget scales
+  // with the eligible set, not the population.
   static constexpr uint32_t kCandAbsent = UINT32_MAX;
   // DETLINT: hot-path-begin
   void CandSwap(uint32_t a, uint32_t b) {
@@ -410,38 +404,34 @@ class BackupNetwork {
     }
   }
 
-  /// Refreshes the eligibility byte of `id` from PeerState and applies the
-  /// live/online diff to the candidate index. Call after ANY mutation of
-  /// live, online, or hosted; redundant calls are cheap no-ops.
-  void RefreshElig(PeerId id) {
+  /// Applies normal peer `id`'s live/online state to the candidate index,
+  /// which still holds the state it last saw. Call after every change of
+  /// live or online; a departure with an immediate replacement never leaves
+  /// the index, so its slot does not move.
+  void SyncIndex(PeerId id) {
     const PeerState& p = peers_[id];
-    const uint8_t was = elig_[id];
-    const uint8_t cur = static_cast<uint8_t>(
-        (p.live ? kEligLive : 0) | (p.online ? kEligOnline : 0) |
-        (p.hosted >= options_.quota_blocks ? kEligQuotaFull : 0));
-    elig_[id] = cur;
-    if (id >= normal_slots_) return;  // observers are never candidates
-    const uint8_t flip = was ^ cur;
-    if ((flip & (kEligLive | kEligOnline)) == 0) return;
-    if ((flip & kEligLive) != 0) {
-      if ((cur & kEligLive) != 0) {
-        CandInsert(id, (cur & kEligOnline) != 0);
+    const uint32_t pos = cand_pos_[id];
+    if (p.live != (pos != kCandAbsent)) {
+      if (p.live) {
+        CandInsert(id, p.online);
       } else {
         CandRemove(id);
       }
-    } else if ((cur & kEligLive) != 0) {
-      CandSetOnline(id, (cur & kEligOnline) != 0);
+    } else if (p.live && p.online != (pos < cand_online_)) {
+      CandSetOnline(id, p.online);
     }
   }
   // DETLINT: hot-path-end
   std::vector<PeerId> cand_index_;
   std::vector<uint32_t> cand_pos_;
   uint32_t cand_online_ = 0;
-  std::vector<uint8_t> elig_;
-  // join_round lane: the only PeerState field the accept path of the
-  // sampling loop still needs (candidate age). Observers never appear as
-  // candidates, so the lane holds plain join rounds, not EffectiveJoin.
+  // Per-peer lanes, each the only copy of its fact, so the sampling loop
+  // touches dense arrays instead of a PeerState per draw. join_lane_ holds
+  // every normal peer's join round (observers read 0 there and age by
+  // frozen_age); hosted_ the quota its normal clients consume, ghost quota
+  // of a departure grace included.
   std::vector<sim::Round> join_lane_;
+  std::vector<int> hosted_;
 
   // Per-round stability-score memo. Safe because every input of a score -
   // monitor history (RecordConnect/Disconnect/Join/Departure) and estimator

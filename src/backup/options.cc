@@ -1,8 +1,10 @@
 #include "backup/options.h"
 
+#include <climits>
 #include <string>
 
 #include "transfer/link.h"
+#include "util/text.h"
 
 namespace p2p {
 namespace backup {
@@ -26,10 +28,15 @@ util::Status SystemOptions::Validate() const {
   if (m < 0) {
     return Invalid("m must be >= 0, got " + std::to_string(m));
   }
-  if (repair_threshold < k || repair_threshold > k + m) {
+  if (m > INT_MAX - k) {
+    return Invalid("m must be <= " + std::to_string(INT_MAX - k) +
+                   " so that k + m fits an int, got " + std::to_string(m));
+  }
+  const int n = k + m;
+  if (repair_threshold < k || repair_threshold > n) {
     return Invalid("repair_threshold " + std::to_string(repair_threshold) +
                    " outside [k, k + m] = [" + std::to_string(k) + ", " +
-                   std::to_string(k + m) + "]");
+                   std::to_string(n) + "]");
   }
   if (quota_blocks <= 0) {
     return Invalid("quota_blocks must be positive, got " +
@@ -42,11 +49,23 @@ util::Status SystemOptions::Validate() const {
   if (max_partner_factor < 1.0) {
     return Invalid("max_partner_factor must be >= 1.0");
   }
+  // Both factors scale k + m into an int: the instant-mode partner cap and
+  // the candidate pool target of a repair.
+  if (!(max_partner_factor * n <= INT_MAX)) {
+    return Invalid("max_partner_factor * (k + m) must fit an int, got " +
+                   util::RenderShortestDouble(max_partner_factor) + " * " +
+                   std::to_string(n));
+  }
   if (acceptance_horizon < 1) {
     return Invalid("acceptance_horizon must be >= 1 round");
   }
   if (pool_factor <= 0.0) {
     return Invalid("pool_factor must be positive");
+  }
+  if (!(pool_factor * n <= INT_MAX)) {
+    return Invalid("pool_factor * (k + m) must fit an int, got " +
+                   util::RenderShortestDouble(pool_factor) + " * " +
+                   std::to_string(n));
   }
   if (sample_attempt_factor < 1) {
     return Invalid("sample_attempt_factor must be >= 1");

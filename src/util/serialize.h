@@ -1,5 +1,5 @@
-// Little-endian binary serialization used by the archive format, master
-// blocks and DHT messages.
+// Little-endian binary serialization used by the archive format and master
+// blocks.
 
 #ifndef P2P_UTIL_SERIALIZE_H_
 #define P2P_UTIL_SERIALIZE_H_

@@ -4,12 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "archive/builder.h"
-#include "backup/pipeline.h"
+#include "archive/pipeline.h"
 #include "net/bandwidth.h"
 #include "util/rng.h"
 
 namespace p2p {
-namespace backup {
+namespace archive {
 namespace {
 
 archive::Archive MakeArchive(util::Rng* rng, int files, size_t bytes_each) {
@@ -184,5 +184,5 @@ TEST(BandwidthTest, InitialUploadAndRestore) {
 }
 
 }  // namespace
-}  // namespace backup
+}  // namespace archive
 }  // namespace p2p

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "archive/builder.h"
-#include "backup/pipeline.h"
+#include "archive/pipeline.h"
 #include "core/acceptance.h"
 #include "core/lifetime_estimator.h"
 #include "core/maintenance_policy.h"
@@ -161,7 +161,7 @@ class PipelineGrid : public ::testing::TestWithParam<PipelineParam> {};
 TEST_P(PipelineGrid, SurvivesAnyLossPatternAboveK) {
   const auto param = GetParam();
   util::Rng rng(static_cast<uint64_t>(param.k * 31 + param.m));
-  auto pipeline = backup::BackupPipeline::Create(param.k, param.m).value();
+  auto pipeline = archive::BackupPipeline::Create(param.k, param.m).value();
 
   archive::BackupBuilder builder;
   std::vector<uint8_t> content(param.archive_bytes);

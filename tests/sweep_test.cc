@@ -7,14 +7,18 @@
 // selection's CSV/JSON emitters are compared byte for byte against goldens
 // captured from the pre-registry hand-written emitters
 // (tests/golden/sweep_default*), and non-default selections must be
-// thread-count invariant like every other report.
+// thread-count invariant like every other report. A further golden
+// (tests/golden/peer_table_cells.csv) carries every metric over a world with
+// instant visibility, observers, a departure grace and workload events.
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -52,10 +56,10 @@ void ExpectSameDefaultMetrics(const CellRow& cell, const CellRow& reference) {
   }
 }
 
-// Loads the small-geometry golden world (see its header comment).
-scenario::Scenario GoldenWorld() {
-  auto world = scenario::LoadScenario(
-      std::string(P2P_SOURCE_DIR) + "/tests/golden/sweep_small_world.scenario");
+// Loads a committed golden input world (see each file's header comment).
+scenario::Scenario GoldenWorld(const std::string& file) {
+  auto world = scenario::LoadScenario(std::string(P2P_SOURCE_DIR) +
+                                      "/tests/golden/" + file);
   EXPECT_TRUE(world.ok()) << world.status().ToString();
   return *world;
 }
@@ -63,7 +67,7 @@ scenario::Scenario GoldenWorld() {
 // The grid the pre-registry goldens were captured from.
 SweepSpec GoldenSpec() {
   SweepSpec spec;
-  spec.base = GoldenWorld();
+  spec.base = GoldenWorld("sweep_small_world.scenario");
   spec.repair_thresholds = {20, 26};
   spec.replicates = 2;
   return spec;
@@ -75,6 +79,29 @@ std::string ReadFileOrDie(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+// Every registered metric, in registration order (scripts/regen_goldens.sh
+// passes the same list as --metrics).
+const std::vector<std::string> kAllMetrics = {
+    "repairs", "losses", "blocks_uploaded", "departures", "timeouts",
+    "repairs_1k_day", "losses_1k_day", "repair_bandwidth",
+    "time_to_repair_mean", "time_to_repair_p99", "partnership_lifetime_mean",
+    "vulnerability_rounds", "cum_repairs", "cum_losses", "mean_population",
+    "final_population", "time_to_backup_mean", "time_to_backup_p99",
+    "time_to_restore_mean", "time_to_restore_p99", "data_loss_window",
+    "uplink_utilization"};
+
+// The peer-table golden's grid: instant visibility, two observers, a
+// departure grace period, a mass exit and a flash crowd (see the world's
+// header comment), under a binding and a slack quota, every metric.
+SweepSpec PeerTableSpec() {
+  SweepSpec spec;
+  spec.base = GoldenWorld("peer_table_world.scenario");
+  spec.repair_thresholds = {20, 26};
+  spec.quotas = {40, 128};
+  spec.metrics = kAllMetrics;
+  return spec;
 }
 
 // A grid small enough that the full 1/2/8-thread comparison stays fast.
@@ -281,6 +308,31 @@ TEST(SystemOptionsTest, ValidateRejectsBadKnobs) {
   options = backup::SystemOptions();
   options.max_partner_factor = 0.5;
   EXPECT_TRUE(options.Validate().IsInvalidArgument());
+
+  // Values that would overflow an int downstream name their key instead:
+  // k + m, and each factor's product with it (partner cap, pool target).
+  options = backup::SystemOptions();
+  options.m = 2147483647;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  EXPECT_NE(options.Validate().message().find("k + m"), std::string::npos);
+
+  options = backup::SystemOptions();
+  options.pool_factor = 1e308;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  EXPECT_NE(options.Validate().message().find("pool_factor"),
+            std::string::npos);
+
+  options = backup::SystemOptions();
+  options.max_partner_factor = 1e308;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  EXPECT_NE(options.Validate().message().find("max_partner_factor"),
+            std::string::npos);
+
+  // The largest factors whose products still fit are accepted.
+  options = backup::SystemOptions();
+  options.pool_factor = static_cast<double>(INT_MAX / (options.k + options.m));
+  options.max_partner_factor = options.pool_factor;
+  EXPECT_TRUE(options.Validate().ok()) << options.Validate().ToString();
 }
 
 TEST(SystemOptionsTest, ValidateRejectsNonPositiveSampleInterval) {
@@ -666,12 +718,17 @@ TEST(ReportTest, AggregatesGroupReplicates) {
 TEST(ReportTest, DefaultMetricEmittersMatchPreRegistryGoldens) {
   // Acceptance: the default-selection CSV/JSON emitters are byte-identical
   // to the pre-registry hand-written emitters, whose output on this exact
-  // grid is committed under tests/golden/. On mismatch the actual bytes are
+  // grid is committed under tests/golden/. The peer-table grid pins the
+  // simulation paths that grid never runs. On mismatch the actual bytes are
   // written next to the test binary for diffing (CI uploads them).
   const SweepSpec spec = GoldenSpec();
   auto results = RunSweep(spec, RunnerOptions{});
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   const SweepReport report = SweepReport::Build(spec, *results);
+  const SweepSpec peer_spec = PeerTableSpec();
+  auto peer_results = RunSweep(peer_spec, RunnerOptions{});
+  ASSERT_TRUE(peer_results.ok()) << peer_results.status().ToString();
+  const SweepReport peer_report = SweepReport::Build(peer_spec, *peer_results);
 
   const std::string golden_dir = std::string(P2P_SOURCE_DIR) + "/tests/golden/";
   const struct {
@@ -695,6 +752,12 @@ TEST(ReportTest, DefaultMetricEmittersMatchPreRegistryGoldens) {
        [&] {
          std::ostringstream os;
          report.WriteJson(os);
+         return os.str();
+       }()},
+      {"peer_table_cells.csv", "peer_table_cells.actual.csv",
+       [&] {
+         std::ostringstream os;
+         peer_report.WriteCellsCsv(os);
          return os.str();
        }()},
   };
