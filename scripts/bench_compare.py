@@ -25,7 +25,8 @@ skipped) and renders one per-phase share table across PRs as markdown, plus
 CSV with --csv. It flags nothing - it is the longitudinal view of how each
 PR moved the profile. A document without a "peak_rss_mb" total (the field
 is newer than BENCH_9.json) shows "n/a" for it, here and in pairwise mode.
-The repair/pool funnel rows are the union of every document's
+The "monitor observe_calls" row does the same for documents without a
+"monitor" section. The repair/pool funnel rows are the union of every document's
 "repair_pool" keys in first-seen order; a counter a document does not
 carry renders as "n/a", never an error, because the funnel schema
 is allowed to change when the sampler does (PR 9 retired reject_dup /
@@ -132,6 +133,11 @@ def trajectory(paths, csv_path):
                  for d in docs])
     rows.append(["peak_rss_mb"] +
                 [fmt_or_na(peak_rss(d), ".1f") for d in docs])
+    # Monitor queries behind the pool scores: 0 once the default age-only
+    # estimator stopped asking the monitor.
+    rows.append(["monitor observe_calls"] +
+                [fmt_or_na(d.get("monitor", {}).get("observe_calls"), ".0f")
+                 for d in docs])
     for name in phase_names:
         rows.append([f"phase {name} (share %)"] +
                     [f"{s[name]:.1f}" if name in s else "-" for s in per_doc])

@@ -159,6 +159,15 @@ class TrajectoryMixedSchemaTest(unittest.TestCase):
         text = self.render([INDEX, doc("BENCH_14", peak_rss_mb=115.5)])
         self.assertEqual(self.row(text, "peak_rss_mb"), ["n/a", "115.5"])
 
+    def test_observe_calls_row_is_na_without_a_monitor_section(self):
+        monitored = doc("BENCH_15")
+        monitored["monitor"] = {"observe_calls": 1298423.0}
+        age_only = doc("BENCH_17")
+        age_only["monitor"] = {"observe_calls": 0.0}
+        text = self.render([PRE_FUNNEL, monitored, age_only])
+        self.assertEqual(self.row(text, "monitor observe_calls"),
+                         ["n/a", "1298423", "0"])
+
     def test_committed_documents_still_render(self):
         # The real BENCH_*.json sequence in the repo root spans the schema
         # boundary; the longitudinal view must stay renderable end to end.

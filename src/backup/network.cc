@@ -58,7 +58,7 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
       acceptance_(options.acceptance_horizon),
       churn_rng_(engine->Stream(kChurnStream)),
       place_rng_(engine->Stream(kPlacementStream)),
-      monitor_(normal_slots_ + kMaxObservers),
+      monitor_(0),
       collector_(normal_slots_ + kMaxObservers,
                  options.sample_interval > 0 ? options.sample_interval
                                              : sim::kRoundsPerDay) {
@@ -103,6 +103,11 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
   estimator_ = std::move(*estimator);
   flag_level_ = policy_->FlagLevel(options.k, n_total);
   partner_cap_ = static_cast<int>(options.max_partner_factor * n_total);
+  reads_monitor_ = estimator_->ReadsMonitor();
+  reads_loss_rate_ = policy_->ReadsLossRate();
+  if (reads_monitor_) {
+    monitor_ = monitor::AvailabilityMonitor(normal_slots_ + kMaxObservers);
+  }
 
   if (options_.transfer_enabled) {
     const util::Result<net::LinkProfile> link =
@@ -122,8 +127,10 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
   // at 0).
   join_lane_.assign(normal_slots_ + kMaxObservers, 0);
   hosted_.assign(normal_slots_ + kMaxObservers, 0);
-  score_round_.assign(normal_slots_ + kMaxObservers, -1);
-  score_val_.assign(normal_slots_ + kMaxObservers, 0.0);
+  if (reads_monitor_) {
+    score_round_.assign(normal_slots_ + kMaxObservers, -1);
+    score_val_.assign(normal_slots_ + kMaxObservers, 0.0);
+  }
   // Eligible-candidate index: empty until BootstrapPopulation below inserts
   // the initial members via SyncIndex. Reserved to the id-space bound so
   // CandInsert never reallocates - the zero-allocation episode guarantee
@@ -153,8 +160,10 @@ size_t BackupNetwork::AddObserver(const std::string& name, sim::Round frozen_age
   p.frozen_age = frozen_age;
   p.online = true;
   p.needs_repair = true;
-  monitor_.RecordJoin(id, 0);
-  monitor_.RecordConnect(id, 0);
+  if (reads_monitor_) {
+    monitor_.RecordJoin(id, 0);
+    monitor_.RecordConnect(id, 0);
+  }
   EnqueueRepair(id);
   return collector_.AddObserver(name, frozen_age);
 }
@@ -178,8 +187,10 @@ void BackupNetwork::InitPeer(PeerId id, sim::Round now) {
 
   // A fresh peer starts online (the user just installed / reinstalled).
   p.online = true;
-  monitor_.RecordJoin(id, now);
-  monitor_.RecordConnect(id, now);
+  if (reads_monitor_) {
+    monitor_.RecordJoin(id, now);
+    monitor_.RecordConnect(id, now);
+  }
   const sim::Round on_len = profile.sessions.SampleOnline(churn_rng_);
   p.next_toggle = now + on_len;
   toggles_.Schedule(p.next_toggle, Event{id, incarnation, p.next_toggle});
@@ -205,7 +216,7 @@ void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
     p.transfer_pending = false;
   }
   collector_.OnDeparture(id, CategoryAt(id, now));
-  monitor_.RecordDeparture(id, now);
+  if (reads_monitor_) monitor_.RecordDeparture(id, now);
   // Online estimators learn the departure-age distribution as it unfolds.
   estimator_->ObserveDeparture(now - join_lane_[id]);
 
@@ -317,7 +328,7 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
   if (p.online) {
     p.online = false;
     p.offline_since = now;
-    monitor_.RecordDisconnect(e.id, now);
+    if (reads_monitor_) monitor_.RecordDisconnect(e.id, now);
     if (instant_visibility()) {
       // Every owner storing on this peer sees one fewer visible block.
       for (const ClientLink& c : clients_[e.id]) {
@@ -336,7 +347,7 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
   } else {
     p.online = true;
     p.offline_since = -1;
-    monitor_.RecordConnect(e.id, now);
+    if (reads_monitor_) monitor_.RecordConnect(e.id, now);
     if (instant_visibility()) {
       for (const ClientLink& c : clients_[e.id]) ++peers_[c.owner].visible;
     }
@@ -458,7 +469,7 @@ void BackupNetwork::SeverAsOwner(PeerId owner) {
 
 void BackupNetwork::OnBlocksLost(PeerId owner, int count, sim::Round now) {
   PeerState& p = peers_[owner];
-  BumpLossRate(owner, count, now);
+  if (reads_loss_rate_) BumpLossRate(owner, count, now);
   if (!instant_visibility()) {
     // Written-off blocks are gone for good: below k the archive cannot be
     // decoded any more.
@@ -644,7 +655,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
       ctx.k = options_.k;
       ctx.n = n;
       ctx.alive = basis;
-      ctx.partner_loss_rate = ReadLossRate(id, now);
+      if (reads_loss_rate_) ctx.partner_loss_rate = ReadLossRate(id, now);
       ctx.rounds_since_repair =
           p.last_repair < 0 ? sim::kNever : now - p.last_repair;
       const core::MaintenanceDecision decision = policy_->Evaluate(ctx);
@@ -814,7 +825,10 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
   // exactly the distribution the rejection sampler produced over the same
   // non-excluded set (PoolIndexTest locks the statistical identity). The
   // acceptance draws interleave after each surviving candidate as before.
-  // Counters accumulate in locals and flush once per episode.
+  // Counters accumulate in locals and flush once per episode. An age-only
+  // estimator scores each accepted candidate right here, from the age the
+  // acceptance draw already used; a monitor-reading one scores the whole
+  // pool in the repair/score pass below.
   const uint32_t online_total = cand_online_;
   const uint32_t offline_total =
       instant_visibility()
@@ -845,6 +859,8 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
   util::Rng* const rng = place_rng_;
   const bool use_acceptance = options_.use_acceptance;
   const bool quota_market = options_.quota_market;
+  const core::LifetimeEstimator* const age_only =
+      reads_monitor_ ? nullptr : estimator_.get();
   int64_t draws = 0, rej_quota_full = 0, rej_acceptance = 0, accepted = 0;
 
   int pool_count = 0;
@@ -883,7 +899,11 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
     }
     ++accepted;
     ++pool_count;
-    pool->push_back(core::Candidate{c, cand_age, 0.0});
+    const double score =
+        age_only != nullptr
+            ? age_only->StabilityScore(core::PeerObservation{cand_age, 0.0, 0})
+            : 0.0;
+    pool->push_back(core::Candidate{c, cand_age, score});
   }
   pool_stats_.draws += draws;
   pool_stats_.index_partner_excluded += pre_excluded;
@@ -893,12 +913,17 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
   if (remaining == 0 && pool_count < target_pool) {
     ++pool_stats_.index_exhausted;  // the whole lane was drawn and filtered
   }
-  // One monitor snapshot pass per episode scores the whole pool: the
-  // estimator ranks by what the monitoring protocol can actually answer
-  // (age, recent uptime, last-seen). Scores are memoized per (peer, round):
-  // every monitor event and estimator update lands in the adjustment/churn
-  // phases that run strictly before this repairs phase, so a peer pooled by
-  // many repairing owners in one round is scored once.
+  if (age_only != nullptr) {
+    pool_stats_.score_evals += accepted;  // one fresh age-only score each
+    return pool_count;
+  }
+  // A monitor-reading estimator gets one monitor snapshot pass per episode
+  // over the whole pool: it ranks by what the monitoring protocol can
+  // actually answer (age, recent uptime, last-seen). Scores are memoized
+  // per (peer, round): every monitor event and estimator update lands in
+  // the adjustment/churn phases that run strictly before this repairs
+  // phase, so a peer pooled by many repairing owners in one round is
+  // scored once.
   {
     TRACE_SCOPE("repair/score");
     for (core::Candidate& cand : *pool) {

@@ -74,8 +74,15 @@ struct HotPathProbe;
 /// sampling over the id space. Dense lanes, each the only copy of its fact
 /// (hosted blocks and join round), back the remaining per-draw filters,
 /// every scratch buffer is a reused per-network member so a steady-state
-/// repair episode performs zero heap allocations, and estimator scores are
-/// memoized per (peer, round).
+/// repair episode performs zero heap allocations.
+///
+/// The network computes only what the configured strategies read. An
+/// age-only estimator (LifetimeEstimator::ReadsMonitor() false, the
+/// default `age-rank` among them) scores each candidate from its join-lane
+/// age inside the draw loop, and the availability monitor stays empty. A
+/// monitor-reading estimator gets a fed monitor and its scores memoized per
+/// (peer, round). The per-peer loss-rate average is kept only for a policy
+/// whose ReadsLossRate() is true.
 class BackupNetwork {
  public:
   /// Wires the network into `engine` (registers the round hook). The engine
@@ -98,7 +105,9 @@ class BackupNetwork {
   /// and BuildReport() for the registry-backed RunReport.
   const metrics::Collector& metrics() const { return collector_; }
 
-  /// Availability monitor (read side; query statistics live there).
+  /// Availability monitor (read side; query statistics live there). Under
+  /// an estimator whose ReadsMonitor() is false it tracks no peer and its
+  /// statistics stay 0.
   const monitor::AvailabilityMonitor& monitor() const { return monitor_; }
   /// @}
 
@@ -168,7 +177,8 @@ class BackupNetwork {
     int64_t accepted = 0;            ///< entered the candidate pool
     int64_t index_exhausted = 0;     ///< episodes that drained the whole lane
     int64_t score_memo_hits = 0;     ///< pool scores served from the memo
-    int64_t score_evals = 0;         ///< pool scores computed fresh
+    int64_t score_evals = 0;         ///< pool scores computed fresh (every
+                                     ///< score under an age-only estimator)
   };
   const PoolStats& pool_stats() const { return pool_stats_; }
 
@@ -241,7 +251,7 @@ class BackupNetwork {
     int observer_clients = 0;   // observer-owned blocks on this host
     // Join round of the youngest normal client; -1 none, -2 stale cache.
     sim::Round newest_client_join = -1;
-    // Loss-rate EMA for adaptive/proactive policies.
+    // Loss-rate EMA; fed only for a policy that reads it (reads_loss_rate_).
     double loss_rate = 0.0;
     sim::Round loss_rate_at = 0;
   };
@@ -337,6 +347,11 @@ class BackupNetwork {
   core::AcceptanceFunction acceptance_;
   int flag_level_ = 0;     // visible level below which repair is evaluated
   int partner_cap_ = 0;    // instant mode: max partners per owner
+  // What the strategies read, fixed at construction: the estimator's
+  // ReadsMonitor() gates the monitor feed, the score memo and the
+  // repair/score pass; the policy's ReadsLossRate() gates the loss-rate EMA.
+  bool reads_monitor_ = true;
+  bool reads_loss_rate_ = true;
 
   util::Rng* churn_rng_;
   util::Rng* place_rng_;
@@ -433,7 +448,9 @@ class BackupNetwork {
   std::vector<sim::Round> join_lane_;
   std::vector<int> hosted_;
 
-  // Per-round stability-score memo. Safe because every input of a score -
+  // Per-round stability-score memo, allocated only for a monitor-reading
+  // estimator (empty otherwise: an age-only score is one call on a value
+  // the draw loop already holds). Safe because every input of a score -
   // monitor history (RecordConnect/Disconnect/Join/Departure) and estimator
   // state (ObserveDeparture) - mutates only in the adjustment/churn phases,
   // which run strictly before the repairs phase that computes scores; within
@@ -466,6 +483,7 @@ class BackupNetwork {
   std::unique_ptr<transfer::TransferScheduler> transfer_;
   std::vector<transfer::TransferCompletion> transfer_done_;  // Tick scratch.
 
+  // Capacity 0 until the constructor body learns the estimator reads it.
   monitor::AvailabilityMonitor monitor_;
   metrics::Collector collector_;
 };

@@ -16,6 +16,8 @@
 //                         learned online as the simulation runs.
 //   availability-weighted age rank discounted by recent uptime, in the
 //                         spirit of Dell'Amico et al.'s adaptive redundancy.
+// The first three read only the age (ReadsMonitor() is false), so a run
+// using one of them keeps no availability monitor at all.
 //
 // Scores are nonnegative with arbitrary scale: only the induced ranking
 // matters to selection. Every estimator must be monotone nondecreasing in
@@ -54,8 +56,17 @@ class LifetimeEstimator {
   /// Stability score; larger means expected to stay longer.
   virtual double StabilityScore(const PeerObservation& obs) const = 0;
 
+  /// Whether StabilityScore reads anything of the observation beyond `age`.
+  /// When false the network scores each candidate from its age alone (the
+  /// other fields left at 0) and neither feeds nor asks the availability
+  /// monitor. Defaults to true, the full monitor path; an estimator may
+  /// return false only if its score is a function of `obs.age` and its own
+  /// ObserveDeparture state.
+  virtual bool ReadsMonitor() const { return true; }
+
   /// Expected remaining lifetime in rounds given the observation (may be an
-  /// upper-bound heuristic; used by adaptive policies and reports).
+  /// upper-bound heuristic). Nothing in the simulator calls it: it states
+  /// each estimator's model, and the unit tests pin it.
   virtual double ExpectedResidualRounds(const PeerObservation& obs) const = 0;
 
   /// Online-learning hook: the network reports every definitive departure
@@ -73,6 +84,7 @@ class AgeRankEstimator : public LifetimeEstimator {
  public:
   explicit AgeRankEstimator(sim::Round horizon = 90 * sim::kRoundsPerDay);
   double StabilityScore(const PeerObservation& obs) const override;
+  bool ReadsMonitor() const override { return false; }
   double ExpectedResidualRounds(const PeerObservation& obs) const override;
   std::string name() const override { return "age-rank"; }
 
@@ -87,6 +99,7 @@ class ParetoResidualEstimator : public LifetimeEstimator {
  public:
   ParetoResidualEstimator(double scale_rounds, double shape);
   double StabilityScore(const PeerObservation& obs) const override;
+  bool ReadsMonitor() const override { return false; }
   double ExpectedResidualRounds(const PeerObservation& obs) const override;
   std::string name() const override { return "pareto-residual"; }
 
@@ -107,6 +120,7 @@ class EmpiricalResidualEstimator : public LifetimeEstimator {
   EmpiricalResidualEstimator(int buckets, sim::Round bucket_rounds,
                              sim::Round horizon);
   double StabilityScore(const PeerObservation& obs) const override;
+  bool ReadsMonitor() const override { return false; }
   double ExpectedResidualRounds(const PeerObservation& obs) const override;
   void ObserveDeparture(sim::Round age_at_departure) override;
   std::string name() const override { return "empirical-residual"; }

@@ -25,7 +25,8 @@ struct MaintenanceContext {
   int n = 0;          ///< target number of placed blocks
   int alive = 0;      ///< blocks currently counted as in the system
   /// Partner departures (true or presumed) per round, smoothed over a recent
-  /// window; 0 when unknown.
+  /// window; 0 when unknown, and always 0 for a policy whose ReadsLossRate()
+  /// is false (the network then keeps no loss-rate average).
   double partner_loss_rate = 0.0;
   /// Rounds since this peer's last repair finished (kNever if none yet).
   sim::Round rounds_since_repair = sim::kNever;
@@ -52,6 +53,12 @@ class MaintenancePolicy {
   /// over every reachable context.
   virtual int FlagLevel(int k, int n) const = 0;
 
+  /// Whether Evaluate reads MaintenanceContext::partner_loss_rate. When
+  /// false the network keeps no per-peer loss-rate average and passes 0.
+  /// Defaults to true; a policy may return false only if its verdict never
+  /// depends on the loss rate.
+  virtual bool ReadsLossRate() const { return true; }
+
   /// Display name.
   virtual std::string name() const = 0;
 };
@@ -62,6 +69,7 @@ class FixedThresholdPolicy : public MaintenancePolicy {
   explicit FixedThresholdPolicy(int threshold);
   MaintenanceDecision Evaluate(const MaintenanceContext& ctx) const override;
   int FlagLevel(int /*k*/, int /*n*/) const override { return threshold_; }
+  bool ReadsLossRate() const override { return false; }
   std::string name() const override { return "fixed-threshold"; }
   int threshold() const { return threshold_; }
 
@@ -94,9 +102,9 @@ class AdaptiveThresholdPolicy : public MaintenancePolicy {
 };
 
 /// Proactive repair in the style of Duminuco et al. [10]: top up missing
-/// blocks in small batches on a cadence matched to the measured loss rate,
-/// without waiting for a threshold crossing; falls back to an emergency
-/// fixed threshold close to k.
+/// blocks in small batches as they go missing, so the repair cadence
+/// follows the loss rate without measuring it and without waiting for a
+/// threshold crossing; falls back to an emergency fixed threshold close to k.
 class ProactivePolicy : public MaintenancePolicy {
  public:
   struct Options {
@@ -109,6 +117,7 @@ class ProactivePolicy : public MaintenancePolicy {
   int FlagLevel(int /*k*/, int n) const override {
     return std::max(options_.emergency_threshold, n - options_.batch_blocks + 1);
   }
+  bool ReadsLossRate() const override { return false; }
   std::string name() const override { return "proactive"; }
 
  private:

@@ -11,9 +11,12 @@
 // window query costs O(log sessions) (a binary search plus prefix-sum
 // arithmetic), not a scan of the whole window.
 //
-// The estimator-driven placement path asks for the full observation triple
-// (age, availability, rounds since seen) through Observe, at most once per
-// (peer, round): BackupNetwork memoizes the resulting score per round.
+// Only an estimator whose ReadsMonitor() is true consumes the monitor:
+// BackupNetwork feeds it and asks for the full observation triple (age,
+// availability, rounds since seen) through Observe, at most once per
+// (peer, round) behind its per-round score memo. Under an age-only
+// estimator the network builds the monitor with capacity 0 and never
+// feeds or queries it.
 
 #ifndef P2P_MONITOR_AVAILABILITY_MONITOR_H_
 #define P2P_MONITOR_AVAILABILITY_MONITOR_H_

@@ -292,9 +292,10 @@ TEST(HotPathAllocTest, RoundLoopAllocationsDoNotScaleWithEpisodes) {
   ASSERT_GT(episodes, 50);
   ASSERT_GT(draws, 1000);
   // ...without per-episode or per-draw heap traffic. The residual belongs
-  // to subsystems outside the repair path - the monitor's session-history
-  // vector growth, first pushes into far-future departure ring slots - and
-  // stays a small multiple of rounds, orders of magnitude under draws.
+  // to subsystems outside the repair path - first pushes into far-future
+  // departure ring slots; the default age-rank estimator keeps no monitor,
+  // so no session history grows - and stays a small multiple of rounds,
+  // orders of magnitude under draws.
   const int64_t allocs = g_allocs.load();
   EXPECT_LT(allocs, 300 * 4) << "episodes=" << episodes << " draws=" << draws;
   EXPECT_LT(allocs, draws / 25) << "episodes=" << episodes;

@@ -409,13 +409,20 @@ TEST(NetworkTest, PoolStatsAttributeEveryDraw) {
   // owner and its partners are pre-excluded before the first draw (counted
   // per episode, not per draw), and the pre-index dup / not-live / offline
   // rejects are structurally impossible and have no buckets at all.
+  // Scores go through the monitor and the per-round memo here, so the run
+  // pins an estimator that reads the monitor (the default age-rank does
+  // not; PoolStatsScoreAgeOnlyPoolsWithoutMonitorOrMemo covers it).
   const auto profiles = churn::ProfileSet::Paper();
   sim::EngineOptions eopts;
   // Long enough that the population's ages spread: acceptance rejections
   // need old owners meeting young replacement candidates.
   eopts.end_round = 800;
   sim::Engine engine(eopts);
-  BackupNetwork network(&engine, &profiles, SmallOptions());
+  SystemOptions opts = SmallOptions();
+  opts.estimator =
+      *core::EstimatorSpec::Parse("availability-weighted{exponent=2}");
+  BackupNetwork network(&engine, &profiles, opts);
+  ASSERT_TRUE(network.estimator().ReadsMonitor());
   engine.Run();
   const auto& ps = network.pool_stats();
   EXPECT_GT(ps.draws, 0);
@@ -425,11 +432,35 @@ TEST(NetworkTest, PoolStatsAttributeEveryDraw) {
   // the memo only ever hits behind at least one fresh eval.
   EXPECT_EQ(ps.accepted, ps.score_memo_hits + ps.score_evals);
   EXPECT_GT(ps.score_evals, 0);
+  // Each fresh score is exactly one monitor query.
+  EXPECT_EQ(network.monitor().query_stats().observe_calls, ps.score_evals);
   // The default scenario runs with acceptance on: maintenance episodes keep
   // pre-taking their owner's existing partners out of the drawable lanes,
   // and old owners meet young candidates they refuse.
   EXPECT_GT(ps.index_partner_excluded, 0);
   EXPECT_GT(ps.reject_acceptance, 0);
+}
+
+TEST(NetworkTest, PoolStatsScoreAgeOnlyPoolsWithoutMonitorOrMemo) {
+  // The converse under the default age-rank, which reads only the age: the
+  // draw loop scores each accepted candidate itself, so the monitor is
+  // never asked and the memo never serves. The funnel partition and the
+  // score count still cover every accepted candidate.
+  const auto profiles = churn::ProfileSet::Paper();
+  sim::EngineOptions eopts;
+  eopts.end_round = 800;
+  sim::Engine engine(eopts);
+  BackupNetwork network(&engine, &profiles, SmallOptions());
+  ASSERT_FALSE(network.estimator().ReadsMonitor());
+  engine.Run();
+  network.CheckInvariants();
+  const auto& ps = network.pool_stats();
+  EXPECT_GT(ps.accepted, 0);
+  EXPECT_EQ(ps.draws,
+            ps.reject_quota_full + ps.reject_acceptance + ps.accepted);
+  EXPECT_EQ(ps.accepted, ps.score_memo_hits + ps.score_evals);
+  EXPECT_EQ(ps.score_memo_hits, 0);
+  EXPECT_EQ(network.monitor().query_stats().observe_calls, 0);
 }
 
 TEST(NetworkTest, VacantSlotsNeverEnterTheIndex) {

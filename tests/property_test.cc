@@ -219,6 +219,34 @@ INSTANTIATE_TEST_SUITE_P(Grid, RsSubsetGrid,
                                            std::pair{128, 128},
                                            std::pair{200, 56}));
 
+// Draws the parameters of one strategy spec for trial `trial`: even trials
+// run pure defaults, odd ones set every parameter to a uniformly drawn
+// in-range value. Integer draws stay in a simulation-sized window: the
+// declared ranges go to 2^20 and huge levels are valid but uninteresting.
+void DrawParams(const std::vector<core::ParamInfo>& params, int trial,
+                util::Rng* rng, core::StrategySpec* spec) {
+  if (trial % 2 == 0) return;
+  for (const core::ParamInfo& info : params) {
+    const double hi = std::min(info.max_value, 4096.0);
+    if (info.type == core::ParamType::kInt) {
+      spec->params[info.name] = core::ParamValue::Int(rng->UniformInt(
+          static_cast<int64_t>(info.min_value), static_cast<int64_t>(hi)));
+    } else {
+      spec->params[info.name] = core::ParamValue::Double(
+          rng->UniformDouble(info.min_value, std::min(hi, 64.0)));
+    }
+  }
+}
+
+// Feeds an estimator a random departure history (up to 40 departures at
+// ages up to 200 days), as a run's DepartPeer calls would.
+void LearnRandomDepartures(core::LifetimeEstimator* estimator, util::Rng* rng) {
+  const int departures = static_cast<int>(rng->UniformInt(0, 40));
+  for (int d = 0; d < departures; ++d) {
+    estimator->ObserveDeparture(rng->UniformInt(0, 200 * 24));
+  }
+}
+
 // --- Strategy registry: FlagLevel really bounds every trigger. ---
 //
 // The network flags a peer for policy evaluation only when its visible
@@ -237,23 +265,7 @@ TEST(StrategyProperty, FlagLevelBoundsEveryRegisteredPolicy) {
     for (int trial = 0; trial < 200 && valid_trials < 50; ++trial) {
       core::PolicySpec spec;
       spec.name = descriptor->name;
-      // Half the trials run pure defaults; the rest set every parameter to
-      // a uniformly drawn in-range value.
-      if (trial % 2 == 1) {
-        for (const core::ParamInfo& info : descriptor->params) {
-          // Keep integer draws in a simulation-sized window: the declared
-          // ranges go to 2^20 and huge levels are valid but uninteresting.
-          const double hi = std::min(info.max_value, 4096.0);
-          if (info.type == core::ParamType::kInt) {
-            spec.params[info.name] = core::ParamValue::Int(rng.UniformInt(
-                static_cast<int64_t>(info.min_value),
-                static_cast<int64_t>(hi)));
-          } else {
-            spec.params[info.name] = core::ParamValue::Double(
-                rng.UniformDouble(info.min_value, std::min(hi, 64.0)));
-          }
-        }
-      }
+      DrawParams(descriptor->params, trial, &rng, &spec);
       if (!spec.Validate().ok()) continue;  // e.g. floor > ceiling draws
       ++valid_trials;
       auto policy = core::MakePolicy(spec, env);
@@ -297,32 +309,14 @@ TEST(StrategyProperty, StabilityScoreMonotoneInAgeForEveryEstimator) {
     for (int trial = 0; trial < 200 && valid_trials < 50; ++trial) {
       core::EstimatorSpec spec;
       spec.name = descriptor->name;
-      // Half the trials run pure defaults; the rest set every parameter to
-      // a uniformly drawn in-range value (integer draws clamped to a
-      // simulation-sized window, as in the policy property test).
-      if (trial % 2 == 1) {
-        for (const core::ParamInfo& info : descriptor->params) {
-          const double hi = std::min(info.max_value, 4096.0);
-          if (info.type == core::ParamType::kInt) {
-            spec.params[info.name] = core::ParamValue::Int(rng.UniformInt(
-                static_cast<int64_t>(info.min_value),
-                static_cast<int64_t>(hi)));
-          } else {
-            spec.params[info.name] = core::ParamValue::Double(
-                rng.UniformDouble(info.min_value, std::min(hi, 64.0)));
-          }
-        }
-      }
+      DrawParams(descriptor->params, trial, &rng, &spec);
       if (!spec.Validate().ok()) continue;
       ++valid_trials;
       auto estimator = core::MakeEstimator(spec, env);
       ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
       // Exercise the online-learning path too: a random departure history
       // must not break monotonicity of the empirical CDF.
-      const int departures = static_cast<int>(rng.UniformInt(0, 40));
-      for (int d = 0; d < departures; ++d) {
-        (*estimator)->ObserveDeparture(rng.UniformInt(0, 200 * 24));
-      }
+      LearnRandomDepartures(estimator->get(), &rng);
       for (int probe = 0; probe < 20; ++probe) {
         core::PeerObservation obs;
         obs.availability = rng.UniformDouble(0.0, 1.0);
@@ -343,6 +337,105 @@ TEST(StrategyProperty, StabilityScoreMonotoneInAgeForEveryEstimator) {
     }
     EXPECT_GT(valid_trials, 0);
   }
+}
+
+// --- Strategy declarations: what a strategy says it reads is all it reads.
+//
+// The network skips the availability monitor for an estimator whose
+// ReadsMonitor() is false, scoring it from the age alone, and skips the
+// loss-rate average for a policy whose ReadsLossRate() is false, passing 0.
+// Both shortcuts are exact only if the declarations are honest, so sweep
+// every registered strategy under the random specs (and, for estimators,
+// random departure histories) of the properties above.
+
+TEST(StrategyProperty, MonitorBlindEstimatorsScoreFromAgeAlone) {
+  util::Rng rng(20260729);
+  core::StrategyEnv env;
+  int blind_specs = 0;
+
+  for (const core::EstimatorDescriptor* descriptor : core::ListEstimators()) {
+    SCOPED_TRACE(descriptor->name);
+    int valid_trials = 0;
+    for (int trial = 0; trial < 200 && valid_trials < 50; ++trial) {
+      core::EstimatorSpec spec;
+      spec.name = descriptor->name;
+      DrawParams(descriptor->params, trial, &rng, &spec);
+      if (!spec.Validate().ok()) continue;
+      ++valid_trials;
+      auto estimator = core::MakeEstimator(spec, env);
+      ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
+      LearnRandomDepartures(estimator->get(), &rng);
+      if ((*estimator)->ReadsMonitor()) continue;
+      ++blind_specs;
+      for (int probe = 0; probe < 20; ++probe) {
+        // The observation the network builds on the age-only path...
+        core::PeerObservation age_only;
+        age_only.age = rng.UniformInt(0, 400 * 24);
+        const double expected = (*estimator)->StabilityScore(age_only);
+        // ...must score like any monitor observation of the same age.
+        for (int variant = 0; variant < 10; ++variant) {
+          core::PeerObservation obs = age_only;
+          obs.availability = rng.UniformDouble(0.0, 1.0);
+          obs.rounds_since_seen = rng.UniformInt(0, obs.age);
+          ASSERT_EQ((*estimator)->StabilityScore(obs), expected)
+              << spec.ToString() << " declares ReadsMonitor() false but its "
+              << "score moved at age=" << obs.age
+              << " (availability=" << obs.availability
+              << ", rounds_since_seen=" << obs.rounds_since_seen << ")";
+        }
+      }
+    }
+    EXPECT_GT(valid_trials, 0);
+  }
+  EXPECT_GT(blind_specs, 0);
+}
+
+TEST(StrategyProperty, LossBlindPoliciesDecideWithoutTheLossRate) {
+  util::Rng rng(20240728);
+  core::StrategyEnv env;  // k = 128, n = 256, repair_threshold = 148
+  int blind_specs = 0;
+
+  for (const core::PolicyDescriptor* descriptor : core::ListPolicies()) {
+    SCOPED_TRACE(descriptor->name);
+    int valid_trials = 0;
+    for (int trial = 0; trial < 200 && valid_trials < 50; ++trial) {
+      core::PolicySpec spec;
+      spec.name = descriptor->name;
+      DrawParams(descriptor->params, trial, &rng, &spec);
+      if (!spec.Validate().ok()) continue;
+      ++valid_trials;
+      auto policy = core::MakePolicy(spec, env);
+      ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+      if ((*policy)->ReadsLossRate()) continue;
+      ++blind_specs;
+      for (int probe = 0; probe < 40; ++probe) {
+        // The context the network builds for a loss-blind policy...
+        core::MaintenanceContext unknown;
+        unknown.k = env.k;
+        unknown.n = env.n;
+        unknown.alive = static_cast<int>(rng.UniformInt(0, env.n));
+        unknown.rounds_since_repair = rng.UniformInt(0, 100'000);
+        const core::MaintenanceDecision expected =
+            (*policy)->Evaluate(unknown);
+        // ...must decide like any measured loss rate.
+        for (int variant = 0; variant < 10; ++variant) {
+          core::MaintenanceContext ctx = unknown;
+          ctx.partner_loss_rate = rng.UniformDouble(0.0, 50.0);
+          const core::MaintenanceDecision decision = (*policy)->Evaluate(ctx);
+          ASSERT_EQ(decision.trigger, expected.trigger)
+              << spec.ToString() << " declares ReadsLossRate() false but "
+              << "its trigger moved at alive=" << ctx.alive
+              << " (loss_rate=" << ctx.partner_loss_rate << ")";
+          ASSERT_EQ(decision.restore_to, expected.restore_to)
+              << spec.ToString() << " declares ReadsLossRate() false but "
+              << "its target moved at alive=" << ctx.alive
+              << " (loss_rate=" << ctx.partner_loss_rate << ")";
+        }
+      }
+    }
+    EXPECT_GT(valid_trials, 0);
+  }
+  EXPECT_GT(blind_specs, 0);
 }
 
 // --- Metrics: replicate moments stay inside the per-cell envelope. ---

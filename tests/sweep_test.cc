@@ -541,6 +541,187 @@ TEST(RunnerTest, DefaultEstimatorSpecsMatchLegacyAgePath) {
   }
 }
 
+// Test wrappers that delegate to a built-in strategy but keep the base
+// class's declarations: ReadsMonitor() and ReadsLossRate() stay true, so
+// the network drives them down the monitor, score-memo and loss-rate paths
+// that the built-in itself skips.
+class MonitorPathEstimator : public core::LifetimeEstimator {
+ public:
+  explicit MonitorPathEstimator(std::unique_ptr<core::LifetimeEstimator> inner)
+      : inner_(std::move(inner)) {}
+  double StabilityScore(const core::PeerObservation& obs) const override {
+    return inner_->StabilityScore(obs);
+  }
+  double ExpectedResidualRounds(
+      const core::PeerObservation& obs) const override {
+    return inner_->ExpectedResidualRounds(obs);
+  }
+  void ObserveDeparture(sim::Round age_at_departure) override {
+    inner_->ObserveDeparture(age_at_departure);
+  }
+  std::string name() const override { return "test-monitor-" + inner_->name(); }
+
+ private:
+  std::unique_ptr<core::LifetimeEstimator> inner_;
+};
+
+class LossRatePathPolicy : public core::MaintenancePolicy {
+ public:
+  explicit LossRatePathPolicy(std::unique_ptr<core::MaintenancePolicy> inner)
+      : inner_(std::move(inner)) {}
+  core::MaintenanceDecision Evaluate(
+      const core::MaintenanceContext& ctx) const override {
+    return inner_->Evaluate(ctx);
+  }
+  int FlagLevel(int k, int n) const override { return inner_->FlagLevel(k, n); }
+  std::string name() const override { return "test-loss-" + inner_->name(); }
+
+ private:
+  std::unique_ptr<core::MaintenancePolicy> inner_;
+};
+
+// Draws d candidates without replacement with probability proportional to
+// score + 1. The built-in selections read scores only through their order
+// (and raw ages), and every age-only estimator orders candidates like their
+// age, so none of them could tell a wrong fast-path score from the right
+// one; this selection reads the values themselves.
+class ScoreWeightedSelection : public core::SelectionStrategy {
+ public:
+  void Choose(std::vector<core::Candidate>* pool, int d, util::Rng* rng,
+              std::vector<uint32_t>* out) const override {
+    size_t live = pool->size();
+    const size_t take =
+        std::min<size_t>(static_cast<size_t>(std::max(d, 0)), live);
+    for (size_t pick = 0; pick < take; ++pick) {
+      double total = 0.0;
+      for (size_t i = 0; i < live; ++i) total += (*pool)[i].score + 1.0;
+      const double r = rng->UniformDouble(0.0, total);
+      size_t chosen = live - 1;
+      double acc = 0.0;
+      for (size_t i = 0; i < live; ++i) {
+        acc += (*pool)[i].score + 1.0;
+        if (r < acc) {
+          chosen = i;
+          break;
+        }
+      }
+      out->push_back((*pool)[chosen].id);
+      std::swap((*pool)[chosen], (*pool)[--live]);
+    }
+  }
+  std::string name() const override { return "test-score-weighted"; }
+};
+
+// Registers "test-monitor-<name>" wrapping the bare built-in `name`; the
+// inner instance resolves its contextual defaults against the same env.
+void RegisterMonitorPathEstimator(const std::string& name) {
+  if (core::FindEstimator("test-monitor-" + name) != nullptr) return;
+  core::EstimatorDescriptor d;
+  d.name = "test-monitor-" + name;
+  d.summary = "bare " + name + " scored through the monitor path";
+  d.make = [name](const core::ResolvedParams&, const core::StrategyEnv& env) {
+    core::EstimatorSpec spec;
+    spec.name = name;
+    auto inner = core::MakeEstimator(spec, env);
+    EXPECT_TRUE(inner.ok());
+    return std::unique_ptr<core::LifetimeEstimator>(
+        new MonitorPathEstimator(std::move(*inner)));
+  };
+  core::RegisterEstimator(std::move(d));
+}
+
+void RegisterLossRatePathPolicy(const std::string& name) {
+  if (core::FindPolicy("test-loss-" + name) != nullptr) return;
+  core::PolicyDescriptor d;
+  d.name = "test-loss-" + name;
+  d.summary = "bare " + name + " fed the loss-rate average";
+  d.make = [name](const core::ResolvedParams&, const core::StrategyEnv& env) {
+    core::PolicySpec spec;
+    spec.name = name;
+    auto inner = core::MakePolicy(spec, env);
+    EXPECT_TRUE(inner.ok());
+    return std::unique_ptr<core::MaintenancePolicy>(
+        new LossRatePathPolicy(std::move(*inner)));
+  };
+  core::RegisterPolicy(std::move(d));
+}
+
+// A world where both fast paths have something to get wrong: departures
+// occur (so empirical-residual has learned a histogram), ages pass the
+// 10-day horizon (so age-rank and the empirical tie-break saturate), and
+// repairs run under the policy.
+SweepSpec FastPathWorld() {
+  SweepSpec spec;
+  spec.base = GoldenWorld("sweep_small_world.scenario");
+  spec.base.options.acceptance_horizon = 10 * sim::kRoundsPerDay;
+  return spec;
+}
+
+TEST(RunnerTest, AgeOnlyEstimatorsMatchTheirMonitorPath) {
+  // Scoring an age-only estimator from the draw loop's candidate age must
+  // be indistinguishable from scoring it through the monitor and the
+  // per-round memo: each bare spec and its monitor-path wrapper produce
+  // identical cells, under a selection that reads the score values.
+  if (core::FindSelection("test-score-weighted") == nullptr) {
+    core::SelectionDescriptor d;
+    d.name = "test-score-weighted";
+    d.summary = "draw hosts with probability ~ score + 1";
+    d.make = [](const core::ResolvedParams&) {
+      return std::unique_ptr<core::SelectionStrategy>(
+          new ScoreWeightedSelection());
+    };
+    core::RegisterSelection(std::move(d));
+  }
+  const std::vector<std::string> bare = {"age-rank", "pareto-residual",
+                                         "empirical-residual"};
+  SweepSpec spec = FastPathWorld();
+  spec.base.options.selection =
+      *core::SelectionSpec::Parse("test-score-weighted");
+  for (const std::string& name : bare) {
+    core::EstimatorSpec probe;
+    probe.name = name;
+    ASSERT_FALSE((*core::MakeEstimator(probe, {}))->ReadsMonitor()) << name;
+    RegisterMonitorPathEstimator(name);
+    spec.estimators.push_back(name);
+    spec.estimators.push_back("test-monitor-" + name);
+  }
+  auto results = RunSweep(spec, RunnerOptions{});
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  const SweepReport report = SweepReport::Build(spec, *results);
+  ASSERT_EQ(report.cells().size(), 2 * bare.size());
+  EXPECT_GT(report.cells()[0].report.Count("departures"), 0);
+  EXPECT_GT(report.cells()[0].report.Count("repairs"), 0);
+  for (size_t i = 0; i < bare.size(); ++i) {
+    SCOPED_TRACE(bare[i]);
+    ExpectSameDefaultMetrics(report.cells()[2 * i + 1], report.cells()[2 * i]);
+  }
+}
+
+TEST(RunnerTest, LossBlindPoliciesMatchTheirLossRatePath) {
+  // Skipping the loss-rate average for a policy that never reads it must
+  // change nothing: each bare spec and its wrapper, which keeps the average
+  // fed and passes it to Evaluate, produce identical cells.
+  const std::vector<std::string> bare = {"fixed-threshold", "proactive"};
+  SweepSpec spec = FastPathWorld();
+  for (const std::string& name : bare) {
+    core::PolicySpec probe;
+    probe.name = name;
+    ASSERT_FALSE((*core::MakePolicy(probe, {}))->ReadsLossRate()) << name;
+    RegisterLossRatePathPolicy(name);
+    spec.policies.push_back(name);
+    spec.policies.push_back("test-loss-" + name);
+  }
+  auto results = RunSweep(spec, RunnerOptions{});
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  const SweepReport report = SweepReport::Build(spec, *results);
+  ASSERT_EQ(report.cells().size(), 2 * bare.size());
+  for (size_t i = 0; i < bare.size(); ++i) {
+    SCOPED_TRACE(bare[i]);
+    EXPECT_GT(report.cells()[2 * i].report.Count("repairs"), 0);
+    ExpectSameDefaultMetrics(report.cells()[2 * i + 1], report.cells()[2 * i]);
+  }
+}
+
 TEST(RunnerTest, EstimatorAxisIsThreadCountInvariant) {
   // The estimator axis must emit byte-identical CSV at 1 and 8 threads,
   // like every other axis - including the stateful empirical estimator

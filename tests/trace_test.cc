@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/strategy_spec.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 #include "sweep/runner.h"
@@ -282,7 +283,12 @@ TEST(TraceSweepTest, StructureDeterministicAcrossThreadCounts) {
 // runtime) and the metrics collector (simulated quantities) must agree on
 // what happened, and tracing must not perturb the simulation.
 TEST(TraceSweepTest, RepairCounterMatchesCollectorAndRunIsUnperturbed) {
+  // Pinned to an estimator that reads the monitor, so the flushed monitor
+  // statistics below carry traffic (age-rank keeps no monitor; see
+  // AgeOnlyEstimatorRunsNoScorePassAndNoMonitor).
   scenario::Scenario scenario = SmallWorld();
+  scenario.options.estimator =
+      *core::EstimatorSpec::Parse("availability-weighted{exponent=2}");
 
   const scenario::Outcome untraced = scenario::RunScenario(scenario);
 
@@ -311,6 +317,29 @@ TEST(TraceSweepTest, RepairCounterMatchesCollectorAndRunIsUnperturbed) {
 
   // The monitor's flushed query statistics reached the session.
   EXPECT_GT(CounterValue(session, "monitor/observe"), 0);
+}
+
+// The converse under the default age-rank, which reads only the age: pools
+// are scored inside repair/pool, so no repair/score pass runs, the score
+// memo never serves, and the monitor is never asked.
+TEST(TraceSweepTest, AgeOnlyEstimatorRunsNoScorePassAndNoMonitor) {
+  scenario::Scenario scenario = SmallWorld();
+  ASSERT_EQ(scenario.options.estimator.name, "age-rank");
+
+  TraceSession session;
+  session.Install();
+  const scenario::Outcome traced = scenario::RunScenario(scenario);
+  TraceSession::Uninstall();
+
+  EXPECT_GT(traced.report.Count("repairs"), 0);
+  const std::vector<PhaseStat> phases = session.PhaseStats();
+  EXPECT_NE(FindPhase(phases, "repair/pool"), nullptr);
+  EXPECT_EQ(FindPhase(phases, "repair/score"), nullptr);
+  EXPECT_GT(CounterValue(session, "repair/pool_accepted"), 0);
+  EXPECT_EQ(CounterValue(session, "repair/score_evals"),
+            CounterValue(session, "repair/pool_accepted"));
+  EXPECT_EQ(CounterValue(session, "repair/score_memo_hits"), 0);
+  EXPECT_EQ(CounterValue(session, "monitor/observe"), 0);
 }
 
 // Signature line of one simulation phase: "sim/<name> depth=D count=C".
