@@ -12,6 +12,14 @@
 #   tests/golden/sweep_default.json           sweep JSON emitter bytes
 #   tests/golden/peer_table_cells.csv         sweep CSV over the peer-table
 #                                             world, every registered metric
+#   tests/golden/transfer_small_cells.csv     the sweep golden world with the
+#                                             transfer scheduler on dsl-2009
+#                                             (timeout visibility), every
+#                                             registered metric
+#   tests/golden/transfer_peer_table_cells.csv  the peer-table world with the
+#                                             transfer scheduler on dsl-2009
+#                                             (instant visibility), every
+#                                             registered metric
 #   tests/golden/flash_crowd.scenario         canonical render of the
 #                                             registry entry
 #   tests/golden/parameterized_strategies.scenario  canonical render fixed
@@ -68,6 +76,13 @@ echo "== peer-table golden ($PEER_WORLD x thresholds {20,26} x quotas {40,128}) 
 "$BUILD/sweep_demo" --scenario="$PEER_WORLD" --thresholds=20,26 \
   --quotas=40,128 --metrics="$ALL_METRICS" --format=csv \
   > "$GOLDEN/peer_table_cells.csv"
+
+echo "== transfer goldens (both worlds x thresholds {20,26} on dsl-2009) =="
+"$BUILD/sweep_demo" --scenario="$WORLD" --thresholds=20,26 --links=dsl-2009 \
+  --metrics="$ALL_METRICS" --format=csv > "$GOLDEN/transfer_small_cells.csv"
+"$BUILD/sweep_demo" --scenario="$PEER_WORLD" --thresholds=20,26 \
+  --links=dsl-2009 --metrics="$ALL_METRICS" --format=csv \
+  > "$GOLDEN/transfer_peer_table_cells.csv"
 
 echo "== canonical scenario-text goldens =="
 "$BUILD/scenario_tool" show flash-crowd > "$GOLDEN/flash_crowd.scenario"

@@ -22,10 +22,12 @@ constexpr uint32_t kMaxObservers = 64;
 // "a typical data amount of 128 MB per archive").
 constexpr uint64_t kArchiveBytes = 128ull << 20;
 
-// Software prefetch for the two link walks that chase peer ids into cold
-// per-peer arrays: SeverAsHost and an episode's placement loop (README "Hot
-// path"). Each loop hints the lines it will touch kPrefetchAhead links
-// ahead, which hides the memory latency behind the current link's work.
+// Software prefetch for the link walks that chase peer ids into cold
+// per-peer arrays: the two sever walks and an episode's placement loop
+// (README "Hot path"). Each loop hints the lines it will touch kPrefetchAhead
+// links ahead, which hides the memory latency behind the current link's
+// work; the sever walks add a second stage at twice that distance (see
+// SeverAsHost).
 constexpr size_t kPrefetchAhead = 8;
 
 inline void Prefetch(const void* line) { __builtin_prefetch(line); }
@@ -225,19 +227,8 @@ void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
 
   // Its own backup: partners learn of the departure and free the space -
   // immediately in the paper, after a grace period as future work.
-  if (options_.departure_grace > 0 && !IsObserver(id)) {
-    // Sever the metadata now but keep the hosts' quota consumed ("ghost
-    // quota") until the grace period elapses.
-    while (!partners_[id].empty()) {
-      const uint32_t last = static_cast<uint32_t>(partners_[id].size()) - 1;
-      const PeerId host = partners_[id][last].host;
-      quota_releases_.Schedule(now + options_.departure_grace,
-                               Event{host, peers_[host].incarnation, 0});
-      RemovePartnerAt(id, last, /*release_quota=*/false);
-    }
-  } else {
-    SeverAsOwner(id);
-  }
+  SeverAsOwner(id, now,
+               /*ghost_quota=*/options_.departure_grace > 0 && !IsObserver(id));
 
   ++p.incarnation;  // invalidates every scheduled event of the old peer
   if (!replace) {
@@ -291,18 +282,35 @@ void BackupNetwork::OnRound(sim::Round now) {
     }
   }
   {
+    // One child span per calendar drain, never one per event.
     TRACE_SCOPE("round/churn");
-    departures_.DrainInto(now,
-                          [&](const Event& e) { ProcessDeparture(e, now); });
-    toggles_.DrainInto(now, [&](const Event& e) { ProcessToggle(e, now); });
-    timeouts_.DrainInto(now, [&](const Event& e) { ProcessTimeout(e, now); });
-    quota_releases_.DrainInto(now, [&](const Event& e) {
-      if (peers_[e.id].incarnation == e.incarnation && hosted_[e.id] > 0) {
-        --hosted_[e.id];
-      }
-    });
-    category_events_.DrainInto(
-        now, [&](const Event& e) { ProcessCategory(e, now); });
+    {
+      TRACE_SCOPE("churn/departures");
+      departures_.DrainInto(now,
+                            [&](const Event& e) { ProcessDeparture(e, now); });
+    }
+    {
+      TRACE_SCOPE("churn/toggles");
+      toggles_.DrainInto(now, [&](const Event& e) { ProcessToggle(e, now); });
+    }
+    {
+      TRACE_SCOPE("churn/timeouts");
+      timeouts_.DrainInto(now,
+                          [&](const Event& e) { ProcessTimeout(e, now); });
+    }
+    {
+      TRACE_SCOPE("churn/quota_releases");
+      quota_releases_.DrainInto(now, [&](const Event& e) {
+        if (peers_[e.id].incarnation == e.incarnation && hosted_[e.id] > 0) {
+          --hosted_[e.id];
+        }
+      });
+    }
+    {
+      TRACE_SCOPE("churn/categories");
+      category_events_.DrainInto(
+          now, [&](const Event& e) { ProcessCategory(e, now); });
+    }
   }
   if (transfer_) {
     TRACE_SCOPE("round/transfers");
@@ -444,15 +452,31 @@ void BackupNetwork::RemovePartnerAt(PeerId owner, uint32_t index,
   }
 }
 
+// Both sever walks pop their own list from the back and swap-remove on the
+// other side, where each removal misses three times in a row: the removed
+// slot, the other list's last link (which moves into the hole), and that
+// link's twin (whose back index is rewritten). A two-stage pipeline hides
+// the chain: 2 * kPrefetchAhead links ahead it prefetches the removed slot
+// and the last link; kPrefetchAhead links ahead it reads that last link,
+// now cached, and prefetches its twin. The hints stay exact until used,
+// because each owner appears once per host and each host once per owner:
+// no removal in between touches the other-side list a hint read.
 void BackupNetwork::SeverAsHost(PeerId host, sim::Round now) {
   scratch_owners_.clear();
   const std::vector<ClientLink>& clients = clients_[host];
-  // Walks the clients from the back, so each removal pops the host side.
   while (!clients.empty()) {
-    if (clients.size() > kPrefetchAhead) {
-      const ClientLink& ahead = clients[clients.size() - 1 - kPrefetchAhead];
-      Prefetch(&partners_[ahead.owner][ahead.back]);
-      Prefetch(&peers_[ahead.owner]);
+    const size_t size = clients.size();
+    if (size > 2 * kPrefetchAhead) {
+      const ClientLink& far = clients[size - 1 - 2 * kPrefetchAhead];
+      const std::vector<Link>& links = partners_[far.owner];
+      Prefetch(&links[far.back]);
+      Prefetch(&links.back());
+      Prefetch(&peers_[far.owner]);  // OnBlocksLost below
+    }
+    if (size > kPrefetchAhead) {
+      const ClientLink& near = clients[size - 1 - kPrefetchAhead];
+      const Link& last = partners_[near.owner].back();
+      Prefetch(&clients_[last.host][last.back]);
     }
     const ClientLink c = clients.back();
     scratch_owners_.push_back(c.owner);
@@ -461,9 +485,30 @@ void BackupNetwork::SeverAsHost(PeerId host, sim::Round now) {
   for (PeerId owner : scratch_owners_) OnBlocksLost(owner, 1, now);
 }
 
-void BackupNetwork::SeverAsOwner(PeerId owner) {
-  while (!partners_[owner].empty()) {
-    RemovePartnerAt(owner, static_cast<uint32_t>(partners_[owner].size()) - 1);
+void BackupNetwork::SeverAsOwner(PeerId owner, sim::Round now,
+                                 bool ghost_quota) {
+  const std::vector<Link>& links = partners_[owner];
+  while (!links.empty()) {
+    const size_t size = links.size();
+    if (size > 2 * kPrefetchAhead) {
+      const Link& far = links[size - 1 - 2 * kPrefetchAhead];
+      const std::vector<ClientLink>& clients = clients_[far.host];
+      Prefetch(&clients[far.back]);
+      Prefetch(&clients.back());
+      Prefetch(&peers_[far.host]);  // RemovePartnerAt's host-side update
+    }
+    if (size > kPrefetchAhead) {
+      const Link& near = links[size - 1 - kPrefetchAhead];
+      const ClientLink& last = clients_[near.host].back();
+      Prefetch(&partners_[last.owner][last.back]);
+    }
+    const uint32_t index = static_cast<uint32_t>(size) - 1;
+    if (ghost_quota) {
+      const PeerId host = links[index].host;
+      quota_releases_.Schedule(now + options_.departure_grace,
+                               Event{host, peers_[host].incarnation, 0});
+    }
+    RemovePartnerAt(owner, index, /*release_quota=*/!ghost_quota);
   }
 }
 
@@ -591,7 +636,7 @@ void BackupNetwork::HandleArchiveLoss(PeerId owner, sim::Round now) {
   // its local data: drop what is left and start a fresh initial placement.
   p.backed_up = false;
   p.episode_active = false;
-  SeverAsOwner(owner);
+  SeverAsOwner(owner, now);
   FlagForRepair(owner);
 }
 

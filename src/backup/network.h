@@ -292,7 +292,9 @@ class BackupNetwork {
   void AddPartnership(PeerId owner, PeerId host);
   void RemovePartnerAt(PeerId owner, uint32_t index, bool release_quota = true);
   void SeverAsHost(PeerId host, sim::Round now);    // clients lose blocks
-  void SeverAsOwner(PeerId owner);                  // hosts free quota
+  /// Hosts free quota now, or with `ghost_quota` keep it consumed until the
+  /// departure grace elapses.
+  void SeverAsOwner(PeerId owner, sim::Round now, bool ghost_quota = false);
   void OnBlocksLost(PeerId owner, int count, sim::Round now);
   void HandleArchiveLoss(PeerId owner, sim::Round now);
 
@@ -469,8 +471,11 @@ class BackupNetwork {
   class TransferDirectory : public transfer::PeerDirectory {
    public:
     explicit TransferDirectory(const BackupNetwork* net) : net_(net) {}
+    // Jobs and their sources are always live normal peers (a departure
+    // cancels the owner's job and severs its hosts), so the candidate index
+    // holds their live and online state.
     bool Online(transfer::PeerId id) const override {
-      return net_->peers_[id].live && net_->peers_[id].online;
+      return net_->cand_pos_[id] < net_->cand_online_;
     }
     void AppendSources(transfer::PeerId owner,
                        std::vector<transfer::PeerId>* out) const override {

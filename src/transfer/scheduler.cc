@@ -83,30 +83,45 @@ void TransferScheduler::Tick(sim::Round now, const PeerDirectory& directory,
   // downloading, so an intra-round phase switch cannot oversubscribe a source
   // that is also an owner); a job in download phase additionally loads each
   // online source's uplink. Offline owners are paused and consume nothing.
-  for (const TransferJob& job : jobs_) {
+  // Each job with an online owner is listed in tick_jobs_, and a downloading
+  // job's online sources are kept, in source order, in the flat sources_
+  // scratch, so pass 1 asks the directory nothing (its answers hold for the
+  // whole tick).
+  tick_jobs_.clear();
+  sources_.clear();
+  for (uint32_t i = 0; i < jobs_.size(); ++i) {
+    const TransferJob& job = jobs_[i];
     if (!directory.Online(job.owner)) continue;
     if (job.up_remaining > 0.0) AddLoad(job.owner, 1.0);
+    size_t kept = sources_.size();
     if (job.down_remaining > 0.0) {
-      sources_.clear();
       directory.AppendSources(job.owner, &sources_);
-      for (PeerId src : sources_) {
-        if (directory.Online(src)) AddLoad(src, 1.0);
+      for (size_t s = kept; s < sources_.size(); ++s) {
+        const PeerId src = sources_[s];
+        if (directory.Online(src)) {
+          AddLoad(src, 1.0);
+          sources_[kept++] = src;
+        }
       }
+      sources_.resize(kept);
     }
+    tick_jobs_.push_back(TickJob{i, static_cast<uint32_t>(kept)});
   }
 
   // Pass 1: move bytes, strictly in job (enqueue) order. Rates derive only
   // from the load lanes, so the order never changes what a job receives.
   double tick_used = 0.0;
-  for (TransferJob& job : jobs_) {
-    if (!directory.Online(job.owner)) continue;
+  uint32_t sources_begin = 0;
+  for (const TickJob& tick_job : tick_jobs_) {
+    TransferJob& job = jobs_[tick_job.job];
+    const uint32_t begin = sources_begin;
+    const uint32_t end = tick_job.sources_end;
+    sources_begin = end;
     double budget = 1.0;  // Fraction of the round still available to the job.
     if (job.down_remaining > 0.0) {
-      sources_.clear();
-      directory.AppendSources(job.owner, &sources_);
       double sum_shares = 0.0;
-      for (PeerId src : sources_) {
-        if (directory.Online(src)) sum_shares += up_cap_ / load_[src];
+      for (uint32_t s = begin; s < end; ++s) {
+        sum_shares += up_cap_ / load_[sources_[s]];
       }
       if (sum_shares <= 0.0) continue;  // No online source: stall.
       const double rate = std::min(down_cap_, sum_shares);
@@ -127,10 +142,9 @@ void TransferScheduler::Tick(sim::Round now, const PeerDirectory& directory,
       stats_.bytes_downloaded += moved;
       tick_used += moved;
       downlink_used_[job.owner] += moved;
-      for (PeerId src : sources_) {
-        if (directory.Online(src)) {
-          uplink_used_[src] += (up_cap_ / load_[src]) * scale * used_fraction;
-        }
+      for (uint32_t s = begin; s < end; ++s) {
+        const PeerId src = sources_[s];
+        uplink_used_[src] += (up_cap_ / load_[src]) * scale * used_fraction;
       }
     }
     if (job.down_remaining == 0.0 && job.up_remaining > 0.0 && budget > 0.0) {

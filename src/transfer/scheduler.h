@@ -34,7 +34,11 @@ using PeerId = uint32_t;
 
 /// \brief The scheduler's read-only view of the simulated world.
 ///
-/// Implemented by `BackupNetwork`; tests supply fakes.
+/// Implemented by `BackupNetwork`; tests supply fakes. Every answer must
+/// stay constant for the whole of one Tick(): the scheduler reads each once
+/// and reuses it. One Tick() calls AppendSources() at most once per job in
+/// download phase and Online() once per job owner and at most once per
+/// returned source.
 class PeerDirectory {
  public:
   virtual ~PeerDirectory() = default;
@@ -142,6 +146,16 @@ class TransferScheduler {
   std::vector<double> uplink_used_;
   std::vector<double> downlink_used_;
   std::vector<PeerId> touched_;
+
+  // Pass 0's record for pass 1, reused at its high-water capacity so a
+  // steady-state tick never allocates: each job whose owner is online, in
+  // job order, and the online sources of the downloading ones, flat in
+  // source order; a job's sources end where the next one's begin.
+  struct TickJob {
+    uint32_t job;          ///< Index into jobs_.
+    uint32_t sources_end;  ///< End of this job's span in sources_.
+  };
+  std::vector<TickJob> tick_jobs_;
   std::vector<PeerId> sources_;
 
   SchedulerStats stats_;

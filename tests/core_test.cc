@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -788,6 +789,138 @@ TEST(EstimatorSpecTest, RegistryIsOpenForExtension) {
     listed = listed || d->name == "test-coin-flip";
   }
   EXPECT_TRUE(listed);
+}
+
+// --- Hostile input: seeded mutations of every registered spec ---
+
+// A value inside `info`'s range: the declared default unless a contextual
+// default replaces it, else the range minimum.
+ParamValue InRangeValue(const ParamInfo& info) {
+  const double def = info.def.AsDouble();
+  if (info.contextual_default.empty() && info.def.type == info.type &&
+      def >= info.min_value && def <= info.max_value) {
+    return info.def;
+  }
+  return info.type == ParamType::kInt
+             ? ParamValue::Int(static_cast<int64_t>(info.min_value))
+             : ParamValue::Double(info.min_value);
+}
+
+// Every registered strategy of one kind as spec text: bare, with each
+// parameter set alone, and with all of them set.
+template <typename Descriptor>
+std::vector<std::string> RegisteredSpecTexts(
+    const std::vector<const Descriptor*>& descriptors) {
+  std::vector<std::string> texts;
+  for (const Descriptor* d : descriptors) {
+    texts.push_back(d->name);
+    std::string all;
+    for (const ParamInfo& info : d->params) {
+      const std::string kv = info.name + "=" + InRangeValue(info).Render();
+      texts.push_back(d->name + "{" + kv + "}");
+      all += (all.empty() ? "" : ",") + kv;
+    }
+    if (d->params.size() > 1) texts.push_back(d->name + "{" + all + "}");
+  }
+  return texts;
+}
+
+// One random edit: delete, insert, replace or duplicate a character,
+// unbalance a brace, or drop an '='.
+std::string MutateSpecText(std::string text, util::Rng* rng) {
+  static const std::string kAlphabet =
+      "{}=,.-+_ \tex0123456789abcdefghijklmnopqrstuvwxyz";
+  const auto pick = [&](size_t bound) {
+    return static_cast<size_t>(rng->UniformBounded(bound));
+  };
+  // Erases one randomly chosen occurrence of any of `chars`; false if none.
+  const auto erase_one_of = [&](const std::string& chars) {
+    std::vector<size_t> at;
+    for (size_t i = 0; i < text.size(); ++i) {
+      if (chars.find(text[i]) != std::string::npos) at.push_back(i);
+    }
+    if (at.empty()) return false;
+    text.erase(at[pick(at.size())], 1);
+    return true;
+  };
+  const char c = kAlphabet[pick(kAlphabet.size())];
+  switch (rng->UniformBounded(6)) {
+    case 0:
+      if (!text.empty()) text.erase(pick(text.size()), 1);
+      break;
+    case 1:
+      text.insert(pick(text.size() + 1), 1, c);
+      break;
+    case 2:
+      if (!text.empty()) text[pick(text.size())] = c;
+      break;
+    case 3:
+      if (!text.empty()) {
+        const size_t i = pick(text.size());
+        text.insert(i, 1, text[i]);
+      }
+      break;
+    case 4:  // unbalance a brace: drop one, or add a stray one
+      if (rng->UniformBounded(2) == 0 && erase_one_of("{}")) break;
+      text.insert(pick(text.size() + 1), 1,
+                  rng->UniformBounded(2) == 0 ? '{' : '}');
+      break;
+    default:
+      erase_one_of("=");
+      break;
+  }
+  return text;
+}
+
+// Parse must return a named error or a spec whose canonical text parses
+// back to an equal spec. Returns whether `text` parsed.
+template <typename Spec>
+bool ExpectNamedErrorOrRoundTrip(const std::string& text) {
+  const util::Result<Spec> parsed = Spec::Parse(text);
+  if (!parsed.ok()) {
+    EXPECT_FALSE(parsed.status().message().empty()) << "'" << text << "'";
+    return false;
+  }
+  const std::string canonical = parsed->ToString();
+  const util::Result<Spec> again = Spec::Parse(canonical);
+  EXPECT_TRUE(again.ok()) << "'" << text << "' -> '" << canonical
+                          << "': " << again.status().ToString();
+  if (again.ok()) {
+    EXPECT_TRUE(*again == *parsed) << "'" << text << "' -> '" << canonical
+                                   << "'";
+  }
+  return true;
+}
+
+TEST(StrategySpecTest, SeededMutationsGiveNamedErrorsOrExactRoundTrips) {
+  std::vector<std::string> bases = RegisteredSpecTexts(ListPolicies());
+  for (const auto& list : {RegisteredSpecTexts(ListSelections()),
+                           RegisteredSpecTexts(ListEstimators())}) {
+    bases.insert(bases.end(), list.begin(), list.end());
+  }
+  constexpr int kMutantsPerSpec = 256;
+  util::Rng rng(0x5eed5bec);
+  int64_t parsed = 0, rejected = 0;
+  for (const std::string& base : bases) {
+    // The unmutated text is a valid spec of its own kind.
+    ASSERT_TRUE(PolicySpec::Parse(base).ok() ||
+                SelectionSpec::Parse(base).ok() ||
+                EstimatorSpec::Parse(base).ok())
+        << base;
+    for (int m = 0; m < kMutantsPerSpec; ++m) {
+      std::string text = base;
+      const uint64_t edits = 1 + rng.UniformBounded(3);
+      for (uint64_t e = 0; e < edits; ++e) text = MutateSpecText(text, &rng);
+      for (const bool ok : {ExpectNamedErrorOrRoundTrip<PolicySpec>(text),
+                            ExpectNamedErrorOrRoundTrip<SelectionSpec>(text),
+                            ExpectNamedErrorOrRoundTrip<EstimatorSpec>(text)}) {
+        ++(ok ? parsed : rejected);
+      }
+    }
+  }
+  // Both outcomes occur, so the round-trip branch is exercised too.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

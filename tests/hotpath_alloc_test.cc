@@ -4,7 +4,8 @@
 // run without touching the heap. The test overrides the global allocator for
 // this binary, warms a paper-profile world, then drives the hot path both
 // directly (HotPathProbe, strict zero) and through whole engine rounds
-// (bounded residual that must not scale with episodes or draws).
+// (bounded residual that must not scale with episodes or draws), and checks
+// that a warm transfer tick does not allocate either.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "backup/options.h"
 #include "churn/profile.h"
 #include "sim/engine.h"
+#include "transfer/scheduler.h"
 
 // Sanitizer builds own the allocator: ASan interposes malloc for poisoning
 // and quarantine, TSan for happens-before tracking, and both allocate
@@ -300,6 +302,43 @@ TEST(HotPathAllocTest, RoundLoopAllocationsDoNotScaleWithEpisodes) {
   EXPECT_LT(allocs, 300 * 4) << "episodes=" << episodes << " draws=" << draws;
   EXPECT_LT(allocs, draws / 25) << "episodes=" << episodes;
   network.CheckInvariants();
+}
+
+// Eight downloads share two sources (a third is offline), so each takes
+// several rounds. Once the first tick has taken the scheduler's per-tick
+// scratch to its high-water capacity, later ticks touch no heap.
+class SharedSources : public transfer::PeerDirectory {
+ public:
+  bool Online(transfer::PeerId id) const override { return id != 10; }
+  void AppendSources(transfer::PeerId,
+                     std::vector<transfer::PeerId>* out) const override {
+    out->insert(out->end(), {8, 9, 10});
+  }
+};
+
+TEST(HotPathAllocTest, SteadyStateTransferTicksAreAllocationFree) {
+  P2P_SKIP_IF_NO_ALLOC_COUNTING();
+  transfer::TransferScheduler sched(net::LinkProfile::Dsl2009(),
+                                    /*id_capacity=*/16,
+                                    /*archive_bytes=*/128ull << 20,
+                                    /*k=*/128, /*m=*/128);
+  const SharedSources directory;
+  for (transfer::PeerId owner = 0; owner < 8; ++owner) {
+    sched.Enqueue(owner, 1, /*initial=*/false, /*upload_blocks=*/128, 0);
+  }
+  std::vector<transfer::TransferCompletion> done;
+  done.reserve(8);
+  sched.Tick(1, directory, &done);  // warm the scratch
+
+  const double downloaded = sched.stats().bytes_downloaded;
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (sim::Round now = 2; now <= 4; ++now) sched.Tick(now, directory, &done);
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocs.load(), 0);
+  EXPECT_GT(sched.stats().bytes_downloaded, downloaded);
+  EXPECT_TRUE(done.empty());  // still downloading: every tick did full work
 }
 
 }  // namespace

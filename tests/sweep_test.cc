@@ -104,6 +104,18 @@ SweepSpec PeerTableSpec() {
   return spec;
 }
 
+// The transfer goldens' grid: `world` with the transfer scheduler on the
+// paper's DSL link, every metric. The sweep golden world runs it under
+// timeout visibility, the peer-table world under instant visibility.
+SweepSpec TransferSpec(const std::string& world) {
+  SweepSpec spec;
+  spec.base = GoldenWorld(world);
+  spec.repair_thresholds = {20, 26};
+  spec.links = {"dsl-2009"};
+  spec.metrics = kAllMetrics;
+  return spec;
+}
+
 // A grid small enough that the full 1/2/8-thread comparison stays fast.
 SweepSpec SmallSpec() {
   SweepSpec spec;
@@ -900,8 +912,10 @@ TEST(ReportTest, DefaultMetricEmittersMatchPreRegistryGoldens) {
   // Acceptance: the default-selection CSV/JSON emitters are byte-identical
   // to the pre-registry hand-written emitters, whose output on this exact
   // grid is committed under tests/golden/. The peer-table grid pins the
-  // simulation paths that grid never runs. On mismatch the actual bytes are
-  // written next to the test binary for diffing (CI uploads them).
+  // simulation paths that grid never runs, and the two transfer grids pin
+  // the transfer scheduler under both visibility models. On mismatch the
+  // actual bytes are written next to the test binary for diffing (CI
+  // uploads them).
   const SweepSpec spec = GoldenSpec();
   auto results = RunSweep(spec, RunnerOptions{});
   ASSERT_TRUE(results.ok()) << results.status().ToString();
@@ -910,6 +924,15 @@ TEST(ReportTest, DefaultMetricEmittersMatchPreRegistryGoldens) {
   auto peer_results = RunSweep(peer_spec, RunnerOptions{});
   ASSERT_TRUE(peer_results.ok()) << peer_results.status().ToString();
   const SweepReport peer_report = SweepReport::Build(peer_spec, *peer_results);
+  // Written by sweep_demo --links=dsl-2009 (scripts/regen_goldens.sh).
+  const auto transfer_csv = [](const std::string& world) {
+    const SweepSpec spec = TransferSpec(world);
+    auto results = RunSweep(spec, RunnerOptions{});
+    EXPECT_TRUE(results.ok()) << results.status().ToString();
+    std::ostringstream os;
+    if (results.ok()) SweepReport::Build(spec, *results).WriteCellsCsv(os);
+    return os.str();
+  };
 
   const std::string golden_dir = std::string(P2P_SOURCE_DIR) + "/tests/golden/";
   const struct {
@@ -941,6 +964,10 @@ TEST(ReportTest, DefaultMetricEmittersMatchPreRegistryGoldens) {
          peer_report.WriteCellsCsv(os);
          return os.str();
        }()},
+      {"transfer_small_cells.csv", "transfer_small_cells.actual.csv",
+       transfer_csv("sweep_small_world.scenario")},
+      {"transfer_peer_table_cells.csv", "transfer_peer_table_cells.actual.csv",
+       transfer_csv("peer_table_world.scenario")},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.golden);

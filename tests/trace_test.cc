@@ -410,6 +410,37 @@ TEST(TraceSweepTest, PlaceChildrenRunOncePerPlacingEpisode) {
   ExpectSameOutcome(traced, untraced);
 }
 
+// round/churn drains five calendar queues, each under its own child span,
+// once per round whatever the queue holds, so the children name all of
+// round/churn's work. Naming them changes nothing the simulation computes.
+TEST(TraceSweepTest, ChurnChildrenRunOncePerRound) {
+  scenario::Scenario scenario = SmallWorld();
+  const scenario::Outcome untraced = scenario::RunScenario(scenario);
+
+  TraceSession session;
+  session.Install();
+  const scenario::Outcome traced = scenario::RunScenario(scenario);
+  TraceSession::Uninstall();
+
+  const std::vector<std::string> signature = session.StructureSignature();
+  int churn_depth = 0;
+  int64_t churn_count = 0;
+  ASSERT_TRUE(FindSignature(signature, "round/churn", &churn_depth,
+                            &churn_count));
+  EXPECT_EQ(churn_count, scenario.rounds);
+  for (const char* child :
+       {"churn/departures", "churn/toggles", "churn/timeouts",
+        "churn/quota_releases", "churn/categories"}) {
+    int depth = 0;
+    int64_t count = 0;
+    ASSERT_TRUE(FindSignature(signature, child, &depth, &count)) << child;
+    EXPECT_EQ(depth, churn_depth + 1) << child;
+    EXPECT_EQ(count, churn_count) << child;
+  }
+
+  ExpectSameOutcome(traced, untraced);
+}
+
 // With the quota at exactly n blocks per host, total capacity equals total
 // demand, so hosts are full and placements displace younger clients through
 // the quota market. Each displacement runs the eviction scan, which has its

@@ -24,19 +24,31 @@ constexpr uint64_t kArchiveBytes = 128ull << 20;  // 128 MB
 constexpr int kK = 128;
 constexpr int kM = 128;
 
-// A scripted world: per-peer online bits and per-owner source lists.
+// A scripted world: per-peer online bits and per-owner source lists. The
+// call counters let a test hold Tick() to one walk of each source list.
 class FakeDirectory : public PeerDirectory {
  public:
   explicit FakeDirectory(uint32_t peers) : online_(peers, 1), sources_(peers) {}
 
-  bool Online(PeerId id) const override { return online_[id] != 0; }
+  bool Online(PeerId id) const override {
+    ++online_calls_;
+    return online_[id] != 0;
+  }
   void AppendSources(PeerId owner,
                      std::vector<PeerId>* out) const override {
+    ++append_calls_;
+    sources_returned_ += static_cast<int64_t>(sources_[owner].size());
     out->insert(out->end(), sources_[owner].begin(), sources_[owner].end());
+  }
+  void ResetCounters() {
+    online_calls_ = append_calls_ = sources_returned_ = 0;
   }
 
   std::vector<uint8_t> online_;
   std::vector<std::vector<PeerId>> sources_;
+  mutable int64_t online_calls_ = 0;
+  mutable int64_t append_calls_ = 0;
+  mutable int64_t sources_returned_ = 0;
 };
 
 TransferScheduler MakeScheduler(const net::LinkProfile& link, uint32_t peers) {
@@ -202,6 +214,40 @@ TEST(TransferSchedulerTest, DownloadStallsWithNoOnlineSource) {
   EXPECT_DOUBLE_EQ(sched.stats().bytes_uploaded, 0.0);
 }
 
+// One Tick() walks each downloading job's source list once: AppendSources
+// at most once per downloading job, and Online at most once per job owner
+// plus once per returned source. Shared, offline and paused cases included.
+TEST(TransferSchedulerTest, TickWalksEachSourceListOnce) {
+  TransferScheduler sched =
+      MakeScheduler(net::LinkProfile::Dsl2009(), /*peers=*/8);
+  FakeDirectory directory(8);
+  directory.sources_[0] = {1, 2, 3};  // source 3 offline
+  directory.sources_[4] = {1, 2};     // shares sources 1 and 2 with owner 0
+  directory.sources_[6] = {1};        // owner 6 offline: paused
+  directory.online_[3] = 0;
+  directory.online_[6] = 0;
+
+  sched.Enqueue(0, 1, /*initial=*/false, kK, 0);
+  sched.Enqueue(4, 1, /*initial=*/false, kK, 0);
+  sched.Enqueue(5, 1, /*initial=*/true, kK, 0);  // upload only
+  sched.Enqueue(6, 1, /*initial=*/false, kK, 0);
+  constexpr int64_t kDownloadingJobs = 3;
+  constexpr int64_t kJobs = 4;
+
+  std::vector<TransferCompletion> done;
+  sched.Tick(1, directory, &done);
+  EXPECT_GT(directory.append_calls_, 0);
+  EXPECT_LE(directory.append_calls_, kDownloadingJobs);
+  EXPECT_LE(directory.online_calls_, kJobs + directory.sources_returned_);
+  EXPECT_GT(sched.downlink_used()[0], 0.0);
+  EXPECT_GT(sched.downlink_used()[4], 0.0);
+  EXPECT_DOUBLE_EQ(sched.downlink_used()[6], 0.0);
+  EXPECT_DOUBLE_EQ(sched.uplink_used()[3], 0.0);
+  // Sources 1 and 2 each serve two downloads: exactly saturated.
+  EXPECT_DOUBLE_EQ(sched.uplink_used()[1], sched.uplink_bytes_per_round());
+  EXPECT_DOUBLE_EQ(sched.uplink_used()[2], sched.uplink_bytes_per_round());
+}
+
 TEST(TransferSchedulerTest, CancelDropsTheJob) {
   TransferScheduler sched =
       MakeScheduler(net::LinkProfile::Dsl2009(), /*peers=*/4);
@@ -264,7 +310,12 @@ TEST(TransferSchedulerTest, PropertyCapacityBoundsAndByteConservation) {
         sources.push_back(static_cast<PeerId>(pick(rng)));
       }
       done.clear();
+      const int64_t jobs = sched.QueueDepth();
+      directory.ResetCounters();
       sched.Tick(++now, directory, &done);
+      // One walk per source list, self and duplicate sources included.
+      ASSERT_LE(directory.append_calls_, jobs);
+      ASSERT_LE(directory.online_calls_, jobs + directory.sources_returned_);
       for (uint32_t peer = 0; peer < kPeers; ++peer) {
         ASSERT_LE(sched.uplink_used()[peer], up_cap * (1.0 + 1e-9));
         ASSERT_LE(sched.downlink_used()[peer], down_cap * (1.0 + 1e-9));
