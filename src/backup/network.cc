@@ -22,12 +22,11 @@ constexpr uint32_t kMaxObservers = 64;
 // "a typical data amount of 128 MB per archive").
 constexpr uint64_t kArchiveBytes = 128ull << 20;
 
-// Software prefetch for the link walks that chase peer ids into cold
-// per-peer arrays: the two sever walks and an episode's placement loop
-// (README "Hot path"). Each loop hints the lines it will touch kPrefetchAhead
-// links ahead, which hides the memory latency behind the current link's
-// work; the sever walks add a second stage at twice that distance (see
-// SeverAsHost).
+// Software prefetch for the two link walks that chase peer ids into cold
+// per-peer arrays: SeverAsHost and an episode's placement loop (README "Hot
+// path"). Each loop hints the lines it will touch kPrefetchAhead links
+// ahead, which hides the memory latency behind the current link's work;
+// SeverAsHost adds a second stage at twice that distance.
 constexpr size_t kPrefetchAhead = 8;
 
 inline void Prefetch(const void* line) { __builtin_prefetch(line); }
@@ -452,15 +451,15 @@ void BackupNetwork::RemovePartnerAt(PeerId owner, uint32_t index,
   }
 }
 
-// Both sever walks pop their own list from the back and swap-remove on the
-// other side, where each removal misses three times in a row: the removed
-// slot, the other list's last link (which moves into the hole), and that
-// link's twin (whose back index is rewritten). A two-stage pipeline hides
-// the chain: 2 * kPrefetchAhead links ahead it prefetches the removed slot
-// and the last link; kPrefetchAhead links ahead it reads that last link,
-// now cached, and prefetches its twin. The hints stay exact until used,
-// because each owner appears once per host and each host once per owner:
-// no removal in between touches the other-side list a hint read.
+// Pops the host's client list from the back and swap-removes each link from
+// its owner's partner list, where each removal misses three times in a row:
+// the removed slot, the partner list's last link (which moves into the
+// hole), and that link's twin (whose back index is rewritten). A two-stage
+// pipeline hides the chain: 2 * kPrefetchAhead links ahead it prefetches the
+// removed slot and the last link; kPrefetchAhead links ahead it reads that
+// last link, now cached, and prefetches its twin. The hints stay exact until
+// used, because each owner appears once per host: no removal in between
+// touches the partner list a hint read.
 void BackupNetwork::SeverAsHost(PeerId host, sim::Round now) {
   scratch_owners_.clear();
   const std::vector<ClientLink>& clients = clients_[host];
@@ -489,26 +488,13 @@ void BackupNetwork::SeverAsOwner(PeerId owner, sim::Round now,
                                  bool ghost_quota) {
   const std::vector<Link>& links = partners_[owner];
   while (!links.empty()) {
-    const size_t size = links.size();
-    if (size > 2 * kPrefetchAhead) {
-      const Link& far = links[size - 1 - 2 * kPrefetchAhead];
-      const std::vector<ClientLink>& clients = clients_[far.host];
-      Prefetch(&clients[far.back]);
-      Prefetch(&clients.back());
-      Prefetch(&peers_[far.host]);  // RemovePartnerAt's host-side update
-    }
-    if (size > kPrefetchAhead) {
-      const Link& near = links[size - 1 - kPrefetchAhead];
-      const ClientLink& last = clients_[near.host].back();
-      Prefetch(&partners_[last.owner][last.back]);
-    }
-    const uint32_t index = static_cast<uint32_t>(size) - 1;
+    const uint32_t last = static_cast<uint32_t>(links.size()) - 1;
     if (ghost_quota) {
-      const PeerId host = links[index].host;
+      const PeerId host = links[last].host;
       quota_releases_.Schedule(now + options_.departure_grace,
                                Event{host, peers_[host].incarnation, 0});
     }
-    RemovePartnerAt(owner, index, /*release_quota=*/!ghost_quota);
+    RemovePartnerAt(owner, last, /*release_quota=*/!ghost_quota);
   }
 }
 

@@ -215,8 +215,8 @@ TEST(TransferSchedulerTest, DownloadStallsWithNoOnlineSource) {
 }
 
 // One Tick() walks each downloading job's source list once: AppendSources
-// at most once per downloading job, and Online at most once per job owner
-// plus once per returned source. Shared, offline and paused cases included.
+// once per online downloading job, and Online once per job owner plus once
+// per returned source. Shared, offline and paused cases included.
 TEST(TransferSchedulerTest, TickWalksEachSourceListOnce) {
   TransferScheduler sched =
       MakeScheduler(net::LinkProfile::Dsl2009(), /*peers=*/8);
@@ -231,14 +231,13 @@ TEST(TransferSchedulerTest, TickWalksEachSourceListOnce) {
   sched.Enqueue(4, 1, /*initial=*/false, kK, 0);
   sched.Enqueue(5, 1, /*initial=*/true, kK, 0);  // upload only
   sched.Enqueue(6, 1, /*initial=*/false, kK, 0);
-  constexpr int64_t kDownloadingJobs = 3;
   constexpr int64_t kJobs = 4;
 
   std::vector<TransferCompletion> done;
   sched.Tick(1, directory, &done);
-  EXPECT_GT(directory.append_calls_, 0);
-  EXPECT_LE(directory.append_calls_, kDownloadingJobs);
-  EXPECT_LE(directory.online_calls_, kJobs + directory.sources_returned_);
+  EXPECT_EQ(directory.append_calls_, 2);  // owners 0 and 4
+  EXPECT_EQ(directory.sources_returned_, 5);
+  EXPECT_EQ(directory.online_calls_, kJobs + directory.sources_returned_);
   EXPECT_GT(sched.downlink_used()[0], 0.0);
   EXPECT_GT(sched.downlink_used()[4], 0.0);
   EXPECT_DOUBLE_EQ(sched.downlink_used()[6], 0.0);
