@@ -56,23 +56,26 @@ int Usage(const char* prog) {
   return 1;
 }
 
-// One table row per (strategy, parameter); parameterless strategies get a
-// single row. Shared by `policies` and `selections`.
-struct ParamRowSink {
+// Prints one strategy family: names only, or one table row per (strategy,
+// parameter) with parameterless strategies on a single row.
+template <typename Strategy>
+int PrintStrategies(bool names_only) {
+  using p2p::core::ParamValue;
   p2p::util::Table table{{"strategy", "parameter", "type", "default", "range",
                           "description"}};
-
-  void Add(const std::string& strategy, const std::string& summary,
-           const std::vector<p2p::core::ParamInfo>& params) {
-    using p2p::core::ParamValue;
+  for (const auto* d : p2p::core::StrategyRegistry<Strategy>::List()) {
+    if (names_only) {
+      std::printf("%s\n", d->name.c_str());
+      continue;
+    }
     table.BeginRow();
-    table.Add(strategy);
+    table.Add(d->name);
     table.Add("-");
     table.Add("-");
     table.Add("-");
     table.Add("-");
-    table.Add(summary);
-    for (const p2p::core::ParamInfo& info : params) {
+    table.Add(d->summary);
+    for (const p2p::core::ParamInfo& info : d->params) {
       table.BeginRow();
       table.Add("");
       table.Add(info.name);
@@ -85,7 +88,25 @@ struct ParamRowSink {
       table.Add(info.help);
     }
   }
-};
+  if (!names_only) table.RenderPretty(std::cout);
+  return 0;
+}
+
+// Overrides `spec` from a --policy / --selection / --estimator value (empty
+// keeps the scenario's); false after printing the parse error.
+template <typename Strategy>
+bool OverrideSpec(const std::string& text,
+                  p2p::core::StrategySpec<Strategy>* spec) {
+  if (text.empty()) return true;
+  auto parsed = p2p::core::StrategySpec<Strategy>::Parse(text);
+  if (!parsed.ok()) {
+    std::cerr << "--" << p2p::core::StrategyTraits<Strategy>::kLabel << ": "
+              << parsed.status().ToString() << "\n";
+    return false;
+  }
+  *spec = *parsed;
+  return true;
+}
 
 }  // namespace
 
@@ -143,46 +164,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "policies") {
+  if (command == "policies" || command == "selections" ||
+      command == "estimators") {
     if (args.size() != 1) return Usage(argv[0]);
-    ParamRowSink sink;
-    for (const core::PolicyDescriptor* d : core::ListPolicies()) {
-      if (names_only) {
-        std::printf("%s\n", d->name.c_str());
-      } else {
-        sink.Add(d->name, d->summary, d->params);
-      }
+    if (command == "policies") {
+      return PrintStrategies<core::MaintenancePolicy>(names_only);
     }
-    if (!names_only) sink.table.RenderPretty(std::cout);
-    return 0;
-  }
-
-  if (command == "selections") {
-    if (args.size() != 1) return Usage(argv[0]);
-    ParamRowSink sink;
-    for (const core::SelectionDescriptor* d : core::ListSelections()) {
-      if (names_only) {
-        std::printf("%s\n", d->name.c_str());
-      } else {
-        sink.Add(d->name, d->summary, d->params);
-      }
+    if (command == "selections") {
+      return PrintStrategies<core::SelectionStrategy>(names_only);
     }
-    if (!names_only) sink.table.RenderPretty(std::cout);
-    return 0;
-  }
-
-  if (command == "estimators") {
-    if (args.size() != 1) return Usage(argv[0]);
-    ParamRowSink sink;
-    for (const core::EstimatorDescriptor* d : core::ListEstimators()) {
-      if (names_only) {
-        std::printf("%s\n", d->name.c_str());
-      } else {
-        sink.Add(d->name, d->summary, d->params);
-      }
-    }
-    if (!names_only) sink.table.RenderPretty(std::cout);
-    return 0;
+    return PrintStrategies<core::LifetimeEstimator>(names_only);
   }
 
   if (command == "metrics") {
@@ -227,29 +218,10 @@ int main(int argc, char** argv) {
   if (peers > 0) s.peers = static_cast<uint32_t>(peers);
   if (rounds > 0) s.rounds = rounds;
   if (seed >= 0) s.seed = static_cast<uint64_t>(seed);
-  if (!policy_spec.empty()) {
-    auto parsed = core::PolicySpec::Parse(policy_spec);
-    if (!parsed.ok()) {
-      std::cerr << "--policy: " << parsed.status().ToString() << "\n";
-      return 1;
-    }
-    s.options.policy = *parsed;
-  }
-  if (!selection_spec.empty()) {
-    auto parsed = core::SelectionSpec::Parse(selection_spec);
-    if (!parsed.ok()) {
-      std::cerr << "--selection: " << parsed.status().ToString() << "\n";
-      return 1;
-    }
-    s.options.selection = *parsed;
-  }
-  if (!estimator_spec.empty()) {
-    auto parsed = core::EstimatorSpec::Parse(estimator_spec);
-    if (!parsed.ok()) {
-      std::cerr << "--estimator: " << parsed.status().ToString() << "\n";
-      return 1;
-    }
-    s.options.estimator = *parsed;
+  if (!OverrideSpec(policy_spec, &s.options.policy) ||
+      !OverrideSpec(selection_spec, &s.options.selection) ||
+      !OverrideSpec(estimator_spec, &s.options.estimator)) {
+    return 1;
   }
   if (!transfer_link.empty()) {
     s.options.transfer_enabled = true;
@@ -300,7 +272,7 @@ int main(int argc, char** argv) {
   // scalar, four per per-category probe (the default set prints the five
   // totals plus both per-category rate blocks); a metrics.select line in the
   // file reshapes it without touching this tool.
-  auto selection = metrics::ResolveCollectedSelection(s.metrics);
+  auto selection = metrics::ResolveMetricSelection(s.metrics);
   util::Table t({"metric", "value"});
   auto row = [&t](const std::string& name, const std::string& value) {
     t.BeginRow();

@@ -44,7 +44,9 @@ registry
     scripts/check.sh must retain the registry-driven smoke loops
     (`scenario_tool list`, `policies --names`, `selections --names`,
     `estimators --names`, `metrics --names`) so new registrations are
-    smoke-tested without editing the script.
+    smoke-tested without editing the script. Each of the three sources must
+    yield at least one name: a source that is missing, or whose table no
+    longer matches the scraper, is itself a violation.
 
 Escape hatch
 ------------
@@ -307,36 +309,48 @@ def check_hot_path(path, stripped, stripped_lines, raw_lines, allows,
             "hot-path-begin never closed (missing hot-path-end)"))
 
 
-def registered_names(root):
-    """(name, source_path, line) triples from the three registries."""
+# Where each registry's table lives and the pattern that scrapes its names:
+# scenario registry entries `{"name", ...}`, strategy descriptors
+# `d.name = "name"`, and metric table rows `Metric("name", ...)`.
+REGISTRY_SOURCES = (
+    (os.path.join("src", "scenario", "registry.cc"),
+     re.compile(r"\{\s*\"([\w-]+)\"\s*,")),
+    (os.path.join("src", "core", "strategy_registry.cc"),
+     re.compile(r"\.name\s*=\s*\"([\w-]+)\"")),
+    (os.path.join("src", "metrics", "registry.cc"),
+     re.compile(r"\bMetric\(\s*\"([\w-]+)\"")),
+)
+
+
+def registered_names(root, violations):
+    """(name, source_path, line) triples from the three registries.
+
+    A source that is missing or yields no names is a violation: its table
+    moved or changed shape, and the README check would silently stop
+    covering it.
+    """
     out = []
-    scen = os.path.join(root, "src", "scenario", "registry.cc")
-    if os.path.exists(scen):
-        with open(scen, encoding="utf-8") as f:
-            for idx, line in enumerate(f, start=1):
-                for m in re.finditer(r"\{\s*\"([\w-]+)\"\s*,", line):
-                    out.append((m.group(1), scen, idx))
-    strat = os.path.join(root, "src", "core", "strategy_registry.cc")
-    if os.path.exists(strat):
-        with open(strat, encoding="utf-8") as f:
-            for idx, line in enumerate(f, start=1):
-                m = re.search(r"\.name\s*=\s*\"([\w-]+)\"", line)
-                if m:
-                    out.append((m.group(1), strat, idx))
-    met = os.path.join(root, "src", "metrics", "registry.cc")
-    if os.path.exists(met):
-        with open(met, encoding="utf-8") as f:
-            text = f.read()
-        for m in re.finditer(r"Make\(\s*\"([\w-]+)\"", text):
-            line = text.count("\n", 0, m.start()) + 1
-            out.append((m.group(1), met, line))
+    for rel, pattern in REGISTRY_SOURCES:
+        path = os.path.join(root, rel)
+        found = []
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            for m in pattern.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                found.append((m.group(1), path, line))
+        if not found:
+            violations.append(Violation(
+                rel, 1, "registry",
+                "registry source yields no registered names (missing, or no "
+                "match for %s): point the scraper at its table" %
+                pattern.pattern))
+        out.extend(found)
     return out
 
 
 def check_registry(root, violations):
-    names = registered_names(root)
-    if not names:
-        return
+    names = registered_names(root, violations)
     readme_path = os.path.join(root, "README.md")
     readme = ""
     if os.path.exists(readme_path):

@@ -2,11 +2,12 @@
 """Self-tests for scripts/detlint.py: every rule must both fire on a seeded
 violation and stay quiet on the compliant twin.
 
-Each case builds a throwaway repo tree (src/ plus, for the registry rule,
-README.md and scripts/check.sh) and runs the linter in-process. The
-fixtures are the executable specification of the rules: a rule change that
-stops a seeded violation from firing - or starts flagging the compliant
-twin - fails here before it ever gates a real diff.
+Each case builds a throwaway repo tree (compliant registry sources,
+README.md and scripts/check.sh, plus or minus the case's own files) and
+runs the linter in-process. The fixtures are the executable specification
+of the rules: a rule change that stops a seeded violation from firing - or
+starts flagging the compliant twin - fails here before it ever gates a real
+diff.
 
 Run directly (python3 scripts/detlint_test.py) or via ctest (detlint_test).
 """
@@ -22,13 +23,48 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import detlint  # noqa: E402
 
 
+CHECK_SH_ALL_LOOPS = (
+    "#!/usr/bin/env bash\n"
+    "./build/scenario_tool list\n"
+    "./build/scenario_tool policies --names\n"
+    "./build/scenario_tool selections --names\n"
+    "./build/scenario_tool estimators --names\n"
+    "./build/scenario_tool metrics --names\n")
+
+
+def registry_tree(readme, check_sh=CHECK_SH_ALL_LOOPS):
+    return {
+        "src/scenario/registry.cc": (
+            "constexpr Entry kRegistry[] = {\n"
+            "    {\"paper\", Paper}, {\"ghost-world\", Ghost},\n"
+            "};\n"),
+        "src/core/strategy_registry.cc": (
+            "d.name = \"oldest-first\";\n"),
+        "src/metrics/registry.cc": (
+            "Metric(\"repairs\", &ComputedProbes::repairs, \"ops\",\n"
+            "       \"...\"),\n"),
+        "README.md": readme,
+        "scripts/check.sh": check_sh,
+    }
+
+
+# Every tree the linter sees has compliant registries unless a case
+# overrides (or, with None, omits) one of these files.
+COMPLIANT_REGISTRIES = registry_tree("paper ghost-world oldest-first repairs\n")
+
+
 def run_on(files):
-    """Materializes `files` ({relpath: text}) and lints the tree.
+    """Materializes `files` ({relpath: text, or None to omit a compliant
+    registry file}) over COMPLIANT_REGISTRIES and lints the tree.
 
     Returns (exit_code, stdout_text).
     """
+    tree = dict(COMPLIANT_REGISTRIES)
+    tree.update(files)
     with tempfile.TemporaryDirectory() as root:
-        for rel, text in files.items():
+        for rel, text in tree.items():
+            if text is None:
+                continue
             path = os.path.join(root, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w", encoding="utf-8") as f:
@@ -181,31 +217,6 @@ class AllowAnnotation(unittest.TestCase):
         self.assertIn("[allow-syntax]", out)
 
 
-CHECK_SH_ALL_LOOPS = (
-    "#!/usr/bin/env bash\n"
-    "./build/scenario_tool list\n"
-    "./build/scenario_tool policies --names\n"
-    "./build/scenario_tool selections --names\n"
-    "./build/scenario_tool estimators --names\n"
-    "./build/scenario_tool metrics --names\n")
-
-
-def registry_tree(readme, check_sh=CHECK_SH_ALL_LOOPS):
-    return {
-        "src/scenario/registry.cc": (
-            "constexpr Entry kRegistry[] = {\n"
-            "    {\"paper\", Paper}, {\"ghost-world\", Ghost},\n"
-            "};\n"),
-        "src/core/strategy_registry.cc": (
-            "d.name = \"oldest-first\";\n"),
-        "src/metrics/registry.cc": (
-            "r->metrics.push_back(Make(\n"
-            "    \"repairs\", \"ops\", \"...\"));\n"),
-        "README.md": readme,
-        "scripts/check.sh": check_sh,
-    }
-
-
 class RegistryRule(unittest.TestCase):
     def test_name_missing_from_readme_fires(self):
         code, out = run_on(registry_tree(
@@ -226,6 +237,25 @@ class RegistryRule(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("smoke loop", out)
         self.assertIn("policies --names", out)
+
+    def test_registry_yielding_no_names_fires(self):
+        # A metric table in a shape the scraper does not know (here the
+        # retired push_back(Make(...)) form) must not switch the README
+        # check off silently.
+        tree = registry_tree("paper ghost-world oldest-first repairs\n")
+        tree["src/metrics/registry.cc"] = (
+            "r->metrics.push_back(Make(\n"
+            "    \"repairs\", \"ops\", \"...\"));\n")
+        code, out = run_on(tree)
+        self.assertEqual(code, 1)
+        self.assertIn("src/metrics/registry.cc:1: [registry]", out)
+        self.assertIn("yields no registered names", out)
+
+    def test_missing_registry_source_fires(self):
+        code, out = run_on({"src/core/strategy_registry.cc": None})
+        self.assertEqual(code, 1)
+        self.assertIn("src/core/strategy_registry.cc:1: [registry]", out)
+        self.assertIn("yields no registered names", out)
 
 
 class CleanTree(unittest.TestCase):

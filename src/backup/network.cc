@@ -80,13 +80,12 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
   env.n = n_total;
   env.repair_threshold = options.repair_threshold;
   env.acceptance_horizon = options.acceptance_horizon;
-  auto policy = core::MakePolicy(options.policy, env);
-  auto selection = core::MakeSelection(options.selection);
-  auto estimator = core::MakeEstimator(options.estimator, env);
-  // Validate() above vetted the specs against the registry; MakePolicy /
-  // MakeEstimator can still reject a cross-parameter check once contextual
-  // defaults resolve against this run's options, so name the reason before
-  // dying.
+  auto policy = core::PolicyRegistry::Make(options.policy, env);
+  auto selection = core::SelectionRegistry::Make(options.selection, env);
+  auto estimator = core::EstimatorRegistry::Make(options.estimator, env);
+  // Validate() above vetted the specs against the registry; Make can still
+  // reject a cross-parameter check once contextual defaults resolve against
+  // this run's options, so name the reason before dying.
   if (!policy.ok()) {
     P2P_LOG_ERROR("policy spec '%s': %s", options.policy.ToString().c_str(),
                   policy.status().ToString().c_str());

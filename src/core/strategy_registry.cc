@@ -10,15 +10,6 @@ namespace p2p {
 namespace core {
 namespace {
 
-// Stable-address storage (deque) so ListPolicies/FindPolicy pointers stay
-// valid across later registrations.
-struct Registries {
-  std::mutex mutex;
-  std::deque<PolicyDescriptor> policies;
-  std::deque<SelectionDescriptor> selections;
-  std::deque<EstimatorDescriptor> estimators;
-};
-
 ParamInfo IntParam(const std::string& name, int64_t def, double min_value,
                    double max_value, const std::string& help) {
   ParamInfo info;
@@ -59,8 +50,7 @@ ParamInfo ContextualHorizon(const std::string& help) {
   return info;
 }
 
-void RegisterBuiltinsLocked(Registries* r) {
-  // --- policies ---
+void AddBuiltins(std::deque<PolicyDescriptor>* policies) {
   {
     PolicyDescriptor d;
     d.name = "fixed-threshold";
@@ -70,7 +60,7 @@ void RegisterBuiltinsLocked(Registries* r) {
       return std::make_unique<FixedThresholdPolicy>(
           static_cast<int>(p.Int("threshold")));
     };
-    r->policies.push_back(std::move(d));
+    policies->push_back(std::move(d));
   }
   {
     PolicyDescriptor d;
@@ -102,7 +92,7 @@ void RegisterBuiltinsLocked(Registries* r) {
       o.ceiling_margin = static_cast<int>(p.Int("ceiling_margin"));
       return std::make_unique<AdaptiveThresholdPolicy>(o);
     };
-    r->policies.push_back(std::move(d));
+    policies->push_back(std::move(d));
   }
   {
     PolicyDescriptor d;
@@ -125,7 +115,7 @@ void RegisterBuiltinsLocked(Registries* r) {
       o.emergency_threshold = static_cast<int>(p.Int("emergency_threshold"));
       return std::make_unique<ProactivePolicy>(o);
     };
-    r->policies.push_back(std::move(d));
+    policies->push_back(std::move(d));
   }
   {
     PolicyDescriptor d;
@@ -149,36 +139,37 @@ void RegisterBuiltinsLocked(Registries* r) {
       o.min_extra = static_cast<int>(p.Int("min_extra"));
       return std::make_unique<AdaptiveRedundancyPolicy>(o);
     };
-    r->policies.push_back(std::move(d));
+    policies->push_back(std::move(d));
   }
+}
 
-  // --- selections ---
+void AddBuiltins(std::deque<SelectionDescriptor>* selections) {
   {
     SelectionDescriptor d;
     d.name = "oldest-first";
     d.summary = "sort by age descending, random tie-break (the paper)";
-    d.make = [](const ResolvedParams&) {
+    d.make = [](const ResolvedParams&, const StrategyEnv&) {
       return std::make_unique<OldestFirstSelection>();
     };
-    r->selections.push_back(std::move(d));
+    selections->push_back(std::move(d));
   }
   {
     SelectionDescriptor d;
     d.name = "random";
     d.summary = "uniform over the pool (age-oblivious baseline)";
-    d.make = [](const ResolvedParams&) {
+    d.make = [](const ResolvedParams&, const StrategyEnv&) {
       return std::make_unique<RandomSelection>();
     };
-    r->selections.push_back(std::move(d));
+    selections->push_back(std::move(d));
   }
   {
     SelectionDescriptor d;
     d.name = "youngest-first";
     d.summary = "sort by age ascending (adversarial baseline)";
-    d.make = [](const ResolvedParams&) {
+    d.make = [](const ResolvedParams&, const StrategyEnv&) {
       return std::make_unique<YoungestFirstSelection>();
     };
-    r->selections.push_back(std::move(d));
+    selections->push_back(std::move(d));
   }
   {
     SelectionDescriptor d;
@@ -187,14 +178,15 @@ void RegisterBuiltinsLocked(Registries* r) {
                 "uniform, large = oldest-first";
     d.params = {DoubleParam("age_exponent", 1.0, 0.0, 16.0,
                             "age weighting exponent")};
-    d.make = [](const ResolvedParams& p) {
+    d.make = [](const ResolvedParams& p, const StrategyEnv&) {
       return std::make_unique<WeightedRandomSelection>(
           p.Double("age_exponent"));
     };
-    r->selections.push_back(std::move(d));
+    selections->push_back(std::move(d));
   }
+}
 
-  // --- estimators ---
+void AddBuiltins(std::deque<EstimatorDescriptor>* estimators) {
   {
     EstimatorDescriptor d;
     d.name = "age-rank";
@@ -204,7 +196,7 @@ void RegisterBuiltinsLocked(Registries* r) {
       return std::make_unique<AgeRankEstimator>(
           static_cast<sim::Round>(p.Int("horizon")));
     };
-    r->estimators.push_back(std::move(d));
+    estimators->push_back(std::move(d));
   }
   {
     EstimatorDescriptor d;
@@ -221,7 +213,7 @@ void RegisterBuiltinsLocked(Registries* r) {
       return std::make_unique<ParetoResidualEstimator>(p.Double("scale"),
                                                       p.Double("shape"));
     };
-    r->estimators.push_back(std::move(d));
+    estimators->push_back(std::move(d));
   }
   {
     EstimatorDescriptor d;
@@ -239,7 +231,7 @@ void RegisterBuiltinsLocked(Registries* r) {
           static_cast<sim::Round>(p.Int("bucket_rounds")),
           static_cast<sim::Round>(p.Int("horizon")));
     };
-    r->estimators.push_back(std::move(d));
+    estimators->push_back(std::move(d));
   }
   {
     EstimatorDescriptor d;
@@ -257,17 +249,26 @@ void RegisterBuiltinsLocked(Registries* r) {
           static_cast<sim::Round>(p.Int("horizon")), p.Double("exponent"),
           p.Double("floor"));
     };
-    r->estimators.push_back(std::move(d));
+    estimators->push_back(std::move(d));
   }
 }
 
-Registries& GetRegistries() {
-  static Registries* r = [] {
-    auto* fresh = new Registries();
-    RegisterBuiltinsLocked(fresh);
+// One family's descriptors. Stable-address storage (deque) so List/Find
+// pointers stay valid across later registrations.
+template <typename Strategy>
+struct Family {
+  std::mutex mutex;
+  std::deque<StrategyDescriptor<Strategy>> descriptors;
+};
+
+template <typename Strategy>
+Family<Strategy>& GetFamily() {
+  static Family<Strategy>* family = [] {
+    auto* fresh = new Family<Strategy>();
+    AddBuiltins(&fresh->descriptors);
     return fresh;
   }();
-  return *r;
+  return *family;
 }
 
 }  // namespace
@@ -301,115 +302,54 @@ double ResolvedParams::Double(const std::string& name) const {
   return it->second.AsDouble();
 }
 
-std::vector<const PolicyDescriptor*> ListPolicies() {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<const PolicyDescriptor*> out;
-  for (const PolicyDescriptor& d : r.policies) out.push_back(&d);
+template <typename Strategy>
+std::vector<const StrategyDescriptor<Strategy>*>
+StrategyRegistry<Strategy>::List() {
+  Family<Strategy>& family = GetFamily<Strategy>();
+  std::lock_guard<std::mutex> lock(family.mutex);
+  std::vector<const Descriptor*> out;
+  for (const Descriptor& d : family.descriptors) out.push_back(&d);
   return out;
 }
 
-std::vector<const SelectionDescriptor*> ListSelections() {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<const SelectionDescriptor*> out;
-  for (const SelectionDescriptor& d : r.selections) out.push_back(&d);
-  return out;
-}
-
-const PolicyDescriptor* FindPolicy(const std::string& name) {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const PolicyDescriptor& d : r.policies) {
+template <typename Strategy>
+const StrategyDescriptor<Strategy>* StrategyRegistry<Strategy>::Find(
+    const std::string& name) {
+  Family<Strategy>& family = GetFamily<Strategy>();
+  std::lock_guard<std::mutex> lock(family.mutex);
+  for (const Descriptor& d : family.descriptors) {
     if (d.name == name) return &d;
   }
   return nullptr;
 }
 
-const SelectionDescriptor* FindSelection(const std::string& name) {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const SelectionDescriptor& d : r.selections) {
-    if (d.name == name) return &d;
-  }
-  return nullptr;
-}
-
-std::vector<const EstimatorDescriptor*> ListEstimators() {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<const EstimatorDescriptor*> out;
-  for (const EstimatorDescriptor& d : r.estimators) out.push_back(&d);
-  return out;
-}
-
-const EstimatorDescriptor* FindEstimator(const std::string& name) {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const EstimatorDescriptor& d : r.estimators) {
-    if (d.name == name) return &d;
-  }
-  return nullptr;
-}
-
-namespace {
-
-// The contextual-default vocabulary: the only SystemOptions knobs a
-// parameter default may follow today. Checked at registration so a typo'd
-// descriptor fails at startup, not at first instantiation mid-run.
-template <typename Descriptor>
-void CheckDescriptorParams(const Descriptor& descriptor) {
+template <typename Strategy>
+void StrategyRegistry<Strategy>::Register(Descriptor descriptor) {
+  P2P_CHECK(!descriptor.name.empty());
+  P2P_CHECK(descriptor.make != nullptr);
+  // The contextual-default vocabulary: the only SystemOptions knobs a
+  // parameter default may follow today. Checked at registration so a typo'd
+  // descriptor fails at startup, not at first instantiation mid-run.
   for (const ParamInfo& info : descriptor.params) {
     P2P_CHECK(info.contextual_default.empty() ||
               info.contextual_default == "repair_threshold" ||
               info.contextual_default == "acceptance_horizon");
   }
-}
-
-}  // namespace
-
-void RegisterPolicy(PolicyDescriptor descriptor) {
-  P2P_CHECK(!descriptor.name.empty());
-  P2P_CHECK(descriptor.make != nullptr);
-  CheckDescriptorParams(descriptor);
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
+  Family<Strategy>& family = GetFamily<Strategy>();
+  std::lock_guard<std::mutex> lock(family.mutex);
   // Duplicate check under the same lock as the insert, so two concurrent
   // registrations of one name cannot both slip past it.
-  for (const PolicyDescriptor& d : r.policies) {
+  for (const Descriptor& d : family.descriptors) {
     P2P_CHECK(d.name != descriptor.name);
   }
-  r.policies.push_back(std::move(descriptor));
+  family.descriptors.push_back(std::move(descriptor));
 }
 
-void RegisterSelection(SelectionDescriptor descriptor) {
-  P2P_CHECK(!descriptor.name.empty());
-  P2P_CHECK(descriptor.make != nullptr);
-  CheckDescriptorParams(descriptor);
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const SelectionDescriptor& d : r.selections) {
-    P2P_CHECK(d.name != descriptor.name);
-  }
-  r.selections.push_back(std::move(descriptor));
-}
-
-void RegisterEstimator(EstimatorDescriptor descriptor) {
-  P2P_CHECK(!descriptor.name.empty());
-  P2P_CHECK(descriptor.make != nullptr);
-  CheckDescriptorParams(descriptor);
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const EstimatorDescriptor& d : r.estimators) {
-    P2P_CHECK(d.name != descriptor.name);
-  }
-  r.estimators.push_back(std::move(descriptor));
-}
-
-util::Result<std::unique_ptr<MaintenancePolicy>> MakePolicy(
-    const PolicySpec& spec, const StrategyEnv& env) {
+template <typename Strategy>
+util::Result<std::unique_ptr<Strategy>> StrategyRegistry<Strategy>::Make(
+    const StrategySpec<Strategy>& spec, const StrategyEnv& env) {
   P2P_RETURN_IF_ERROR(spec.Validate());
-  const PolicyDescriptor* descriptor = FindPolicy(spec.name);
+  const Descriptor* descriptor = Find(spec.name);
   ResolvedParams resolved(descriptor->params, spec.params, env);
   // Validate() could only exercise the cross-parameter check against a
   // default env; re-run it here with the contextual defaults actually
@@ -420,28 +360,9 @@ util::Result<std::unique_ptr<MaintenancePolicy>> MakePolicy(
   return descriptor->make(resolved, env);
 }
 
-util::Result<std::unique_ptr<SelectionStrategy>> MakeSelection(
-    const SelectionSpec& spec) {
-  P2P_RETURN_IF_ERROR(spec.Validate());
-  const SelectionDescriptor* descriptor = FindSelection(spec.name);
-  // Selections have no contextual parameters, so Validate()'s check pass
-  // already saw the final values; no re-run needed.
-  return descriptor->make(
-      ResolvedParams(descriptor->params, spec.params, {}));
-}
-
-util::Result<std::unique_ptr<LifetimeEstimator>> MakeEstimator(
-    const EstimatorSpec& spec, const StrategyEnv& env) {
-  P2P_RETURN_IF_ERROR(spec.Validate());
-  const EstimatorDescriptor* descriptor = FindEstimator(spec.name);
-  ResolvedParams resolved(descriptor->params, spec.params, env);
-  // Re-run the cross-parameter check with contextual defaults resolved
-  // against this run's env (see MakePolicy).
-  if (descriptor->check) {
-    P2P_RETURN_IF_ERROR(descriptor->check(resolved));
-  }
-  return descriptor->make(resolved, env);
-}
+template class StrategyRegistry<MaintenancePolicy>;
+template class StrategyRegistry<SelectionStrategy>;
+template class StrategyRegistry<LifetimeEstimator>;
 
 }  // namespace core
 }  // namespace p2p

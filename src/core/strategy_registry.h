@@ -1,15 +1,17 @@
-// The strategy registry: the set of maintenance policies, selection
-// strategies, and lifetime estimators a run can name, each described
-// declaratively (parameters with types, defaults, valid ranges) and
-// instantiated through a factory.
+// The strategy registry: the maintenance policies, selection strategies,
+// and lifetime estimators a run can name, each described declaratively
+// (parameters with types, defaults, valid ranges) and instantiated through
+// a factory. One template serves all three families; StrategyRegistry<
+// MaintenancePolicy> lists, finds, registers and makes policies, and
+// PolicyRegistry / SelectionRegistry / EstimatorRegistry are its aliases.
 //
-// Built-ins register themselves on first access; RegisterPolicy /
-// RegisterSelection / RegisterEstimator add further strategies (call before
-// any concurrent sweep starts - registration is mutex-guarded, but a
-// strategy must be registered before a cell naming it is expanded).
-// `scenario_tool policies` / `selections` / `estimators` list everything
-// here, and scripts/check.sh smoke-runs every registered strategy, so an
-// unrunnable registration fails CI rather than lurking.
+// Built-ins register themselves on first access; Register adds further
+// strategies to a family (call before any concurrent sweep starts -
+// registration is mutex-guarded, but a strategy must be registered before a
+// cell naming it is expanded). `scenario_tool policies` / `selections` /
+// `estimators` list everything here, and scripts/check.sh smoke-runs every
+// registered strategy, so an unrunnable registration fails CI rather than
+// lurking.
 
 #ifndef P2P_CORE_STRATEGY_REGISTRY_H_
 #define P2P_CORE_STRATEGY_REGISTRY_H_
@@ -72,64 +74,50 @@ class ResolvedParams {
   ParamMap values_;
 };
 
-/// One registered maintenance policy.
-struct PolicyDescriptor {
+/// One registered strategy of family `Strategy`. The factory makes a fresh
+/// instance per network: estimators may be stateful (the empirical family
+/// learns from observed departures).
+template <typename Strategy>
+struct StrategyDescriptor {
   std::string name;
   std::string summary;
   std::vector<ParamInfo> params;
   /// Cross-parameter consistency check (e.g. floor <= ceiling); optional.
   std::function<util::Status(const ResolvedParams&)> check;
-  std::function<std::unique_ptr<MaintenancePolicy>(const ResolvedParams&,
-                                                   const StrategyEnv&)>
+  std::function<std::unique_ptr<Strategy>(const ResolvedParams&,
+                                          const StrategyEnv&)>
       make;
 };
 
-/// One registered selection strategy.
-struct SelectionDescriptor {
-  std::string name;
-  std::string summary;
-  std::vector<ParamInfo> params;
-  std::function<util::Status(const ResolvedParams&)> check;
-  std::function<std::unique_ptr<SelectionStrategy>(const ResolvedParams&)> make;
+/// \brief The registered strategies of one family. Defined for the three
+/// families in strategy_registry.cc.
+template <typename Strategy>
+class StrategyRegistry {
+ public:
+  using Descriptor = StrategyDescriptor<Strategy>;
+
+  /// Registered descriptors in registration order (built-ins first). The
+  /// returned pointers stay valid for the process lifetime.
+  static std::vector<const Descriptor*> List();
+
+  /// Looks a strategy up by exact name; null when unknown.
+  static const Descriptor* Find(const std::string& name);
+
+  /// Registers a strategy; aborts on a duplicate name.
+  static void Register(Descriptor descriptor);
+
+  /// Instantiates a validated spec. Errors (unknown name, bad parameters)
+  /// name the offending token.
+  static util::Result<std::unique_ptr<Strategy>> Make(
+      const StrategySpec<Strategy>& spec, const StrategyEnv& env);
 };
 
-/// One registered lifetime estimator. Estimators may be stateful (the
-/// empirical family learns from observed departures), so the factory makes
-/// a fresh instance per network.
-struct EstimatorDescriptor {
-  std::string name;
-  std::string summary;
-  std::vector<ParamInfo> params;
-  std::function<util::Status(const ResolvedParams&)> check;
-  std::function<std::unique_ptr<LifetimeEstimator>(const ResolvedParams&,
-                                                   const StrategyEnv&)>
-      make;
-};
-
-/// Registered descriptors in registration order (built-ins first). The
-/// returned pointers stay valid for the process lifetime.
-std::vector<const PolicyDescriptor*> ListPolicies();
-std::vector<const SelectionDescriptor*> ListSelections();
-std::vector<const EstimatorDescriptor*> ListEstimators();
-
-/// Looks a strategy up by exact name; null when unknown.
-const PolicyDescriptor* FindPolicy(const std::string& name);
-const SelectionDescriptor* FindSelection(const std::string& name);
-const EstimatorDescriptor* FindEstimator(const std::string& name);
-
-/// Registers a strategy; aborts on a duplicate name.
-void RegisterPolicy(PolicyDescriptor descriptor);
-void RegisterSelection(SelectionDescriptor descriptor);
-void RegisterEstimator(EstimatorDescriptor descriptor);
-
-/// Instantiates a validated spec. Errors (unknown name, bad parameters)
-/// name the offending token; a spec that passed Validate() cannot fail.
-util::Result<std::unique_ptr<MaintenancePolicy>> MakePolicy(
-    const PolicySpec& spec, const StrategyEnv& env);
-util::Result<std::unique_ptr<SelectionStrategy>> MakeSelection(
-    const SelectionSpec& spec);
-util::Result<std::unique_ptr<LifetimeEstimator>> MakeEstimator(
-    const EstimatorSpec& spec, const StrategyEnv& env);
+using PolicyDescriptor = StrategyDescriptor<MaintenancePolicy>;
+using SelectionDescriptor = StrategyDescriptor<SelectionStrategy>;
+using EstimatorDescriptor = StrategyDescriptor<LifetimeEstimator>;
+using PolicyRegistry = StrategyRegistry<MaintenancePolicy>;
+using SelectionRegistry = StrategyRegistry<SelectionStrategy>;
+using EstimatorRegistry = StrategyRegistry<LifetimeEstimator>;
 
 }  // namespace core
 }  // namespace p2p

@@ -112,23 +112,23 @@ util::Status CheckRange(const ParamInfo& info, const ParamValue& value,
   return util::Status::OK();
 }
 
-// Validation shared by policies and selections, driven by the descriptor's
-// parameter table. `kind` labels error messages ("policy" / "selection").
-util::Status ValidateAgainst(const StrategySpec& spec,
+// Validation driven by the descriptor's parameter table. `kind` labels
+// error messages ("policy", "selection", "estimator").
+util::Status ValidateAgainst(const std::string& name, const ParamMap& params,
                              const std::vector<ParamInfo>& infos,
                              const std::string& kind) {
-  for (const auto& [key, value] : spec.params) {
+  for (const auto& [key, value] : params) {
     const ParamInfo* info = FindParamInfo(infos, key);
     if (info == nullptr) {
-      return util::Status::InvalidArgument(kind + " '" + spec.name +
+      return util::Status::InvalidArgument(kind + " '" + name +
                                            "' has no parameter '" + key + "'");
     }
     if (info->type != value.type) {
       return util::Status::InvalidArgument(
-          kind + " '" + spec.name + "': parameter '" + key + "' must be " +
+          kind + " '" + name + "': parameter '" + key + "' must be " +
           ParamTypeName(info->type));
     }
-    P2P_RETURN_IF_ERROR(CheckRange(*info, value, spec.name));
+    P2P_RETURN_IF_ERROR(CheckRange(*info, value, name));
   }
   return util::Status::OK();
 }
@@ -161,6 +161,19 @@ util::Status CoerceParams(
     }
   }
   return util::Status::OK();
+}
+
+template <typename Strategy>
+util::Result<const StrategyDescriptor<Strategy>*> FindDescriptor(
+    const std::string& name) {
+  const StrategyDescriptor<Strategy>* descriptor =
+      StrategyRegistry<Strategy>::Find(name);
+  if (descriptor == nullptr) {
+    return util::Status::InvalidArgument(
+        std::string("unknown ") + StrategyTraits<Strategy>::kLabel + ": '" +
+        name + "'");
+  }
+  return descriptor;
 }
 
 }  // namespace
@@ -205,7 +218,8 @@ bool operator==(const ParamValue& a, const ParamValue& b) {
                                    : a.double_value == b.double_value;
 }
 
-std::string StrategySpec::ToString() const {
+template <typename Strategy>
+std::string StrategySpec<Strategy>::ToString() const {
   if (params.empty()) return name;
   std::string out = name + "{";
   bool first = true;
@@ -220,16 +234,12 @@ std::string StrategySpec::ToString() const {
   return out;
 }
 
-bool operator==(const StrategySpec& a, const StrategySpec& b) {
-  return a.name == b.name && a.params == b.params;
-}
-
-util::Status PolicySpec::Validate() const {
-  const PolicyDescriptor* descriptor = FindPolicy(name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown policy: '" + name + "'");
-  }
-  P2P_RETURN_IF_ERROR(ValidateAgainst(*this, descriptor->params, "policy"));
+template <typename Strategy>
+util::Status StrategySpec<Strategy>::Validate() const {
+  P2P_ASSIGN_OR_RETURN(const StrategyDescriptor<Strategy>* descriptor,
+                       FindDescriptor<Strategy>(name));
+  P2P_RETURN_IF_ERROR(ValidateAgainst(name, params, descriptor->params,
+                                      StrategyTraits<Strategy>::kLabel));
   if (descriptor->check) {
     P2P_RETURN_IF_ERROR(
         descriptor->check(ResolvedParams(descriptor->params, params, {})));
@@ -237,79 +247,24 @@ util::Status PolicySpec::Validate() const {
   return util::Status::OK();
 }
 
-util::Result<PolicySpec> PolicySpec::Parse(const std::string& text) {
-  PolicySpec spec;
-  spec.name.clear();
+template <typename Strategy>
+util::Result<StrategySpec<Strategy>> StrategySpec<Strategy>::Parse(
+    const std::string& text) {
+  StrategySpec spec;
   std::vector<std::pair<std::string, std::string>> kv;
   P2P_RETURN_IF_ERROR(SplitSpec(text, &spec.name, &kv));
-  const PolicyDescriptor* descriptor = FindPolicy(spec.name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown policy: '" + spec.name +
-                                         "'");
-  }
-  P2P_RETURN_IF_ERROR(CoerceParams(spec.name, kv, descriptor->params, "policy",
+  P2P_ASSIGN_OR_RETURN(const StrategyDescriptor<Strategy>* descriptor,
+                       FindDescriptor<Strategy>(spec.name));
+  P2P_RETURN_IF_ERROR(CoerceParams(spec.name, kv, descriptor->params,
+                                   StrategyTraits<Strategy>::kLabel,
                                    &spec.params));
   P2P_RETURN_IF_ERROR(spec.Validate());
   return spec;
 }
 
-util::Status SelectionSpec::Validate() const {
-  const SelectionDescriptor* descriptor = FindSelection(name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown selection: '" + name + "'");
-  }
-  P2P_RETURN_IF_ERROR(ValidateAgainst(*this, descriptor->params, "selection"));
-  if (descriptor->check) {
-    P2P_RETURN_IF_ERROR(
-        descriptor->check(ResolvedParams(descriptor->params, params, {})));
-  }
-  return util::Status::OK();
-}
-
-util::Result<SelectionSpec> SelectionSpec::Parse(const std::string& text) {
-  SelectionSpec spec;
-  spec.name.clear();
-  std::vector<std::pair<std::string, std::string>> kv;
-  P2P_RETURN_IF_ERROR(SplitSpec(text, &spec.name, &kv));
-  const SelectionDescriptor* descriptor = FindSelection(spec.name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown selection: '" + spec.name +
-                                         "'");
-  }
-  P2P_RETURN_IF_ERROR(CoerceParams(spec.name, kv, descriptor->params,
-                                   "selection", &spec.params));
-  P2P_RETURN_IF_ERROR(spec.Validate());
-  return spec;
-}
-
-util::Status EstimatorSpec::Validate() const {
-  const EstimatorDescriptor* descriptor = FindEstimator(name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown estimator: '" + name + "'");
-  }
-  P2P_RETURN_IF_ERROR(ValidateAgainst(*this, descriptor->params, "estimator"));
-  if (descriptor->check) {
-    P2P_RETURN_IF_ERROR(
-        descriptor->check(ResolvedParams(descriptor->params, params, {})));
-  }
-  return util::Status::OK();
-}
-
-util::Result<EstimatorSpec> EstimatorSpec::Parse(const std::string& text) {
-  EstimatorSpec spec;
-  spec.name.clear();
-  std::vector<std::pair<std::string, std::string>> kv;
-  P2P_RETURN_IF_ERROR(SplitSpec(text, &spec.name, &kv));
-  const EstimatorDescriptor* descriptor = FindEstimator(spec.name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown estimator: '" + spec.name +
-                                         "'");
-  }
-  P2P_RETURN_IF_ERROR(CoerceParams(spec.name, kv, descriptor->params,
-                                   "estimator", &spec.params));
-  P2P_RETURN_IF_ERROR(spec.Validate());
-  return spec;
-}
+template struct StrategySpec<MaintenancePolicy>;
+template struct StrategySpec<SelectionStrategy>;
+template struct StrategySpec<LifetimeEstimator>;
 
 }  // namespace core
 }  // namespace p2p

@@ -1,9 +1,11 @@
 // Declarative strategy specifications: a registry-backed strategy name plus
 // a typed parameter map.
 //
-// Maintenance policies and selection strategies used to be closed enums
-// (core::PolicyKind / core::SelectionKind), hard-coded at construction and
-// unreachable from the scenario text format. A StrategySpec makes them data:
+// The simulator has three strategy families - maintenance policies,
+// selection strategies and lifetime estimators - and one spec type,
+// StrategySpec<Strategy>, keyed by the family's interface (PolicySpec,
+// SelectionSpec and EstimatorSpec are aliases). A spec makes a strategy
+// data:
 //
 //   fixed-threshold                         (all defaults)
 //   fixed-threshold{threshold=140}
@@ -11,14 +13,15 @@
 //   weighted-random{age_exponent=2}
 //
 // The spec grammar is `name` or `name{key=value,...}`. Parsing is
-// type-directed against the strategy registry (strategy_registry.h): unknown
+// type-directed against the family's registry (strategy_registry.h): unknown
 // strategy names, unknown parameters, type mismatches, and out-of-range
 // values are all util::Result errors naming the offending token - never a
 // silent fallback. Render is canonical (parameters in name order, shortest
 // value form), so Parse(Render(spec)) == spec exactly; only explicitly-set
 // parameters are stored and rendered, which keeps `fixed-threshold` and
 // `fixed-threshold{threshold=148}` distinct as text while both resolve to
-// the same policy under the default options.
+// the same policy under the default options. StrategyTraits holds the only
+// per-family facts: the default strategy and the label errors use.
 
 #ifndef P2P_CORE_STRATEGY_SPEC_H_
 #define P2P_CORE_STRATEGY_SPEC_H_
@@ -68,58 +71,66 @@ inline bool operator!=(const ParamValue& a, const ParamValue& b) {
 /// render order is deterministic.
 using ParamMap = std::map<std::string, ParamValue>;
 
-/// \brief A strategy reference: registry name + explicit parameters.
+class LifetimeEstimator;
+class MaintenancePolicy;
+class SelectionStrategy;
+
+/// What sets one strategy family apart in specs, sweeps and tools: the
+/// strategy a default spec names, and the label of error texts, sweep axes
+/// and `--<label>` flags.
+template <typename Strategy>
+struct StrategyTraits;
+
+template <>
+struct StrategyTraits<MaintenancePolicy> {
+  /// The paper's rule; its threshold follows options.repair_threshold.
+  static constexpr const char* kDefaultName = "fixed-threshold";
+  static constexpr const char* kLabel = "policy";
+};
+
+template <>
+struct StrategyTraits<SelectionStrategy> {
+  static constexpr const char* kDefaultName = "oldest-first";  ///< the paper's
+  static constexpr const char* kLabel = "selection";
+};
+
+template <>
+struct StrategyTraits<LifetimeEstimator> {
+  /// The paper's rule; its horizon follows options.acceptance_horizon.
+  static constexpr const char* kDefaultName = "age-rank";
+  static constexpr const char* kLabel = "estimator";
+};
+
+/// \brief A strategy reference: registry name + explicit parameters. A
+/// default spec names the family's paper strategy with no parameters.
+/// Defined for the three families in strategy_spec.cc.
+template <typename Strategy>
 struct StrategySpec {
-  std::string name;
+  std::string name = StrategyTraits<Strategy>::kDefaultName;
   ParamMap params;
 
   /// Canonical text: `name` or `name{key=value,...}` (params in key order).
   std::string ToString() const;
-};
 
-bool operator==(const StrategySpec& a, const StrategySpec& b);
-inline bool operator!=(const StrategySpec& a, const StrategySpec& b) {
-  return !(a == b);
-}
-
-/// \brief A maintenance-policy spec; defaults to the paper's fixed
-/// threshold with no explicit parameters (the threshold then follows
-/// SystemOptions::repair_threshold).
-struct PolicySpec : StrategySpec {
-  PolicySpec() { name = "fixed-threshold"; }
-
-  /// Checks the name against the policy registry and every parameter for
+  /// Checks the name against the family's registry and every parameter for
   /// existence, type, range, and cross-parameter consistency. Errors name
   /// the offending token.
   util::Status Validate() const;
 
-  /// Parses the spec grammar against the policy registry (type-directed:
+  /// Parses the spec grammar against the family's registry (type-directed:
   /// values are coerced to the declared parameter types) and validates.
-  static util::Result<PolicySpec> Parse(const std::string& text);
+  static util::Result<StrategySpec> Parse(const std::string& text);
 };
 
-/// \brief A selection-strategy spec; defaults to the paper's oldest-first.
-struct SelectionSpec : StrategySpec {
-  SelectionSpec() { name = "oldest-first"; }
+template <typename Strategy>
+bool operator==(const StrategySpec<Strategy>& a,
+                const StrategySpec<Strategy>& b) {
+  return a.name == b.name && a.params == b.params;
+}
 
-  /// See PolicySpec::Validate().
-  util::Status Validate() const;
-
-  /// See PolicySpec::Parse().
-  static util::Result<SelectionSpec> Parse(const std::string& text);
-};
-
-/// \brief A lifetime-estimator spec; defaults to the paper's age rank (its
-/// horizon then follows SystemOptions::acceptance_horizon).
-struct EstimatorSpec : StrategySpec {
-  EstimatorSpec() { name = "age-rank"; }
-
-  /// See PolicySpec::Validate().
-  util::Status Validate() const;
-
-  /// See PolicySpec::Parse().
-  static util::Result<EstimatorSpec> Parse(const std::string& text);
-};
+using PolicySpec = StrategySpec<MaintenancePolicy>;
+using SelectionSpec = StrategySpec<SelectionStrategy>;
+using EstimatorSpec = StrategySpec<LifetimeEstimator>;
 
 }  // namespace core
 }  // namespace p2p

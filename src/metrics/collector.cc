@@ -13,55 +13,6 @@ namespace {
 constexpr double kEpisodeHistogramCap = 4096.0;
 constexpr int kEpisodeHistogramBins = 4096;
 
-// Everything BuildReport derives from the accumulators before emission.
-struct ComputedProbes {
-  double repairs = 0, losses = 0, blocks_uploaded = 0, departures = 0,
-         timeouts = 0;
-  double repair_bandwidth = 0, time_to_repair_mean = 0, time_to_repair_p99 = 0,
-         partnership_lifetime_mean = 0, vulnerability_rounds = 0,
-         final_population = 0;
-  double time_to_backup_mean = 0, time_to_backup_p99 = 0,
-         time_to_restore_mean = 0, time_to_restore_p99 = 0,
-         data_loss_window = 0, uplink_utilization = 0;
-  std::array<double, kCategoryCount> repairs_1k{}, losses_1k{}, cum_repairs{},
-      cum_losses{}, mean_population{};
-};
-
-// The single source of truth for what this collector feeds: one entry per
-// probe, naming the ComputedProbes field that carries it. FeedsMetric and
-// BuildReport both walk this table, so the two can never disagree.
-struct ProbeEntry {
-  const char* name;
-  double ComputedProbes::*scalar;                               // or ...
-  std::array<double, kCategoryCount> ComputedProbes::*per_category;
-};
-
-const ProbeEntry kProbes[] = {
-    {"repairs", &ComputedProbes::repairs, nullptr},
-    {"losses", &ComputedProbes::losses, nullptr},
-    {"blocks_uploaded", &ComputedProbes::blocks_uploaded, nullptr},
-    {"departures", &ComputedProbes::departures, nullptr},
-    {"timeouts", &ComputedProbes::timeouts, nullptr},
-    {"repairs_1k_day", nullptr, &ComputedProbes::repairs_1k},
-    {"losses_1k_day", nullptr, &ComputedProbes::losses_1k},
-    {"repair_bandwidth", &ComputedProbes::repair_bandwidth, nullptr},
-    {"time_to_repair_mean", &ComputedProbes::time_to_repair_mean, nullptr},
-    {"time_to_repair_p99", &ComputedProbes::time_to_repair_p99, nullptr},
-    {"partnership_lifetime_mean", &ComputedProbes::partnership_lifetime_mean,
-     nullptr},
-    {"vulnerability_rounds", &ComputedProbes::vulnerability_rounds, nullptr},
-    {"cum_repairs", nullptr, &ComputedProbes::cum_repairs},
-    {"cum_losses", nullptr, &ComputedProbes::cum_losses},
-    {"mean_population", nullptr, &ComputedProbes::mean_population},
-    {"final_population", &ComputedProbes::final_population, nullptr},
-    {"time_to_backup_mean", &ComputedProbes::time_to_backup_mean, nullptr},
-    {"time_to_backup_p99", &ComputedProbes::time_to_backup_p99, nullptr},
-    {"time_to_restore_mean", &ComputedProbes::time_to_restore_mean, nullptr},
-    {"time_to_restore_p99", &ComputedProbes::time_to_restore_p99, nullptr},
-    {"data_loss_window", &ComputedProbes::data_loss_window, nullptr},
-    {"uplink_utilization", &ComputedProbes::uplink_utilization, nullptr},
-};
-
 }  // namespace
 
 Collector::Collector(uint32_t id_capacity, sim::Round sample_interval)
@@ -218,19 +169,12 @@ RunReport Collector::BuildReport(sim::Round end_round) const {
   p.final_population = static_cast<double>(final_population);
 
   RunReport report;
-  // One entry per registered metric, registration order. A metric absent
-  // from kProbes is skipped: registering a new probe comes with the
-  // collector hook that measures it, and selection validation
-  // (ResolveCollectedSelection) rejects dangling registrations up front.
+  // One entry per metric, table order, each read from its row's field.
   for (const MetricDescriptor* d : ListMetrics()) {
-    for (const ProbeEntry& entry : kProbes) {
-      if (d->name != entry.name) continue;
-      if (entry.per_category != nullptr) {
-        report.Add(d, p.*entry.per_category);
-      } else {
-        report.Add(d, p.*entry.scalar);
-      }
-      break;
+    if (d->per_category) {
+      report.Add(d, p.*d->per_category_field);
+    } else {
+      report.Add(d, p.*d->scalar_field);
     }
   }
   // The series' last grid sample may predate the end of the run: flush the
@@ -246,27 +190,6 @@ RunReport Collector::BuildReport(sim::Round end_round) const {
   }
   report.AddSeries(FindMetric("repair_bandwidth"), std::move(bandwidth));
   return report;
-}
-
-bool Collector::FeedsMetric(const std::string& name) {
-  for (const ProbeEntry& entry : kProbes) {
-    if (name == entry.name) return true;
-  }
-  return false;
-}
-
-util::Result<std::vector<const MetricDescriptor*>> ResolveCollectedSelection(
-    const std::vector<std::string>& names) {
-  P2P_ASSIGN_OR_RETURN(std::vector<const MetricDescriptor*> selection,
-                       ResolveMetricSelection(names));
-  for (const MetricDescriptor* d : selection) {
-    if (!Collector::FeedsMetric(d->name)) {
-      return util::Status::InvalidArgument(
-          "metric '" + d->name +
-          "' is registered but no collector probe feeds it");
-    }
-  }
-  return selection;
 }
 
 }  // namespace metrics

@@ -122,16 +122,10 @@ class Collector {
   }
   /// @}
 
-  /// Distills every registered probe this collector feeds into a RunReport
-  /// (one entry per registered metric, registration order). `end_round` is
-  /// the number of simulated rounds; it normalizes the bandwidth rate and
-  /// truncates still-open vulnerability episodes.
+  /// Distills every probe into a RunReport (one entry per metric, table
+  /// order). `end_round` is the number of simulated rounds; it normalizes
+  /// the bandwidth rate and truncates still-open vulnerability episodes.
   RunReport BuildReport(sim::Round end_round) const;
-
-  /// True when this collector measures the named probe (i.e. BuildReport
-  /// will emit it). Registration alone does not make a metric selectable:
-  /// a probe needs the collector hook that feeds it.
-  static bool FeedsMetric(const std::string& name);
 
  private:
   sim::Round sample_interval_;
@@ -176,14 +170,6 @@ class Collector {
   int64_t bandwidth_sampled_uploads_ = 0;
   sim::Round bandwidth_sampled_at_ = -1;
 };
-
-/// Resolves a selection (registry resolution plus the collectability check):
-/// empty means the default set; errors name unknown, duplicate, and
-/// registered-but-uncollected tokens. This is what run/sweep validation and
-/// the report layer use, so a selection naming a metric no collector feeds
-/// fails up front with a Status instead of aborting after the runs.
-util::Result<std::vector<const MetricDescriptor*>> ResolveCollectedSelection(
-    const std::vector<std::string>& names);
 
 }  // namespace metrics
 }  // namespace p2p

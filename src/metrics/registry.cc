@@ -1,168 +1,148 @@
 #include "metrics/registry.h"
 
-#include <deque>
-#include <mutex>
 #include <set>
-
-#include "util/logging.h"
+#include <type_traits>
+#include <utility>
 
 namespace p2p {
 namespace metrics {
 namespace {
 
-// Stable-address storage (deque) so ListMetrics/FindMetric pointers stay
-// valid across later registrations.
-struct Registry {
-  std::mutex mutex;
-  std::deque<MetricDescriptor> metrics;
-};
-
-MetricDescriptor Make(const std::string& name, const std::string& unit,
-                      const std::string& help, bool per_category,
-                      MetricKind kind, MetricAggregation aggregation,
-                      bool default_selected) {
+// One row of the metric table; the type of `field` gives the metric's shape.
+template <typename Field>
+MetricDescriptor Metric(std::string name, Field ComputedProbes::*field,
+                        std::string unit, std::string help, MetricKind kind,
+                        MetricAggregation aggregation, bool default_selected) {
   MetricDescriptor d;
-  d.name = name;
-  d.unit = unit;
-  d.help = help;
-  d.per_category = per_category;
+  d.name = std::move(name);
+  d.unit = std::move(unit);
+  d.help = std::move(help);
   d.kind = kind;
   d.aggregation = aggregation;
   d.default_selected = default_selected;
+  if constexpr (std::is_same_v<Field, double>) {
+    d.scalar_field = field;
+  } else {
+    d.per_category = true;
+    d.per_category_field = field;
+  }
   return d;
 }
 
-void RegisterBuiltinsLocked(Registry* r) {
+const std::vector<MetricDescriptor>& MetricTable() {
   // The default set, in this exact order, IS the historical emitter layout:
   // the sweep goldens lock its CSV/JSON bytes. blocks_uploaded / departures
   // / timeouts carry kNone because the historical aggregate tables never
   // included them; that is a recorded fact about the layout, not a law - a
-  // new registration is free to choose kMoments.
-  r->metrics.push_back(Make(
-      "repairs", "ops", "repair operations triggered (initial placements "
-      "included)", false, MetricKind::kCount, MetricAggregation::kMoments,
-      true));
-  r->metrics.push_back(Make(
-      "losses", "archives", "archives lost (alive blocks fell below k)",
-      false, MetricKind::kCount, MetricAggregation::kMoments, true));
-  r->metrics.push_back(Make(
-      "blocks_uploaded", "blocks", "blocks re-placed by repairs", false,
-      MetricKind::kCount, MetricAggregation::kNone, true));
-  r->metrics.push_back(Make(
-      "departures", "peers", "definitive departures", false,
-      MetricKind::kCount, MetricAggregation::kNone, true));
-  r->metrics.push_back(Make(
-      "timeouts", "partnerships", "partnerships severed by the timeout rule",
-      false, MetricKind::kCount, MetricAggregation::kNone, true));
-  r->metrics.push_back(Make(
-      "repairs_1k_day", "ops/1000 peers/day", "repair rate by age category "
-      "(figure 1)", true, MetricKind::kReal, MetricAggregation::kMoments,
-      true));
-  r->metrics.push_back(Make(
-      "losses_1k_day", "archives/1000 peers/day", "loss rate by age category "
-      "(figure 2)", true, MetricKind::kReal, MetricAggregation::kMoments,
-      true));
+  // new row is free to choose kMoments.
+  static const auto* table = new std::vector<MetricDescriptor>{
+      Metric("repairs", &ComputedProbes::repairs, "ops",
+             "repair operations triggered (initial placements included)",
+             MetricKind::kCount, MetricAggregation::kMoments, true),
+      Metric("losses", &ComputedProbes::losses, "archives",
+             "archives lost (alive blocks fell below k)",
+             MetricKind::kCount, MetricAggregation::kMoments, true),
+      Metric("blocks_uploaded", &ComputedProbes::blocks_uploaded, "blocks",
+             "blocks re-placed by repairs",
+             MetricKind::kCount, MetricAggregation::kNone, true),
+      Metric("departures", &ComputedProbes::departures, "peers",
+             "definitive departures",
+             MetricKind::kCount, MetricAggregation::kNone, true),
+      Metric("timeouts", &ComputedProbes::timeouts, "partnerships",
+             "partnerships severed by the timeout rule",
+             MetricKind::kCount, MetricAggregation::kNone, true),
+      Metric("repairs_1k_day", &ComputedProbes::repairs_1k,
+             "ops/1000 peers/day",
+             "repair rate by age category (figure 1)",
+             MetricKind::kReal, MetricAggregation::kMoments, true),
+      Metric("losses_1k_day", &ComputedProbes::losses_1k,
+             "archives/1000 peers/day",
+             "loss rate by age category (figure 2)",
+             MetricKind::kReal, MetricAggregation::kMoments, true),
 
-  // --- probes the closed pre-registry structs could not express ---
-  r->metrics.push_back(Make(
-      "repair_bandwidth", "blocks/day", "mean maintenance bandwidth: blocks "
-      "uploaded per day over the run", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "time_to_repair_mean", "rounds", "mean rounds from repair flag to "
-      "episode completion", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "time_to_repair_p99", "rounds", "99th percentile of rounds from repair "
-      "flag to episode completion", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "partnership_lifetime_mean", "rounds", "mean lifetime of severed "
-      "partnerships", false, MetricKind::kReal, MetricAggregation::kMoments,
-      false));
-  r->metrics.push_back(Make(
-      "vulnerability_rounds", "peer-rounds", "total rounds peers spent "
-      "flagged below the repair trigger (open episodes truncated at the end "
-      "of the run)", false, MetricKind::kCount, MetricAggregation::kMoments,
-      false));
-  r->metrics.push_back(Make(
-      "cum_repairs", "ops", "cumulative repairs by age category", true,
-      MetricKind::kCount, MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "cum_losses", "archives", "cumulative losses by age category", true,
-      MetricKind::kCount, MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "mean_population", "peers", "mean category population over the run",
-      true, MetricKind::kReal, MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "final_population", "peers", "live peers when the run ended", false,
-      MetricKind::kCount, MetricAggregation::kMoments, false));
+      // --- probes the closed pre-registry structs could not express ---
+      Metric("repair_bandwidth", &ComputedProbes::repair_bandwidth,
+             "blocks/day",
+             "mean maintenance bandwidth: blocks uploaded per day over the run",
+             MetricKind::kReal, MetricAggregation::kMoments, false),
+      Metric("time_to_repair_mean", &ComputedProbes::time_to_repair_mean,
+             "rounds",
+             "mean rounds from repair flag to episode completion",
+             MetricKind::kReal, MetricAggregation::kMoments, false),
+      Metric("time_to_repair_p99", &ComputedProbes::time_to_repair_p99,
+             "rounds",
+             "99th percentile of rounds from repair flag to episode completion",
+             MetricKind::kReal, MetricAggregation::kMoments, false),
+      Metric("partnership_lifetime_mean",
+             &ComputedProbes::partnership_lifetime_mean, "rounds",
+             "mean lifetime of severed partnerships",
+             MetricKind::kReal, MetricAggregation::kMoments, false),
+      Metric("vulnerability_rounds", &ComputedProbes::vulnerability_rounds,
+             "peer-rounds",
+             "total rounds peers spent flagged below the repair trigger (open "
+             "episodes truncated at the end of the run)",
+             MetricKind::kCount, MetricAggregation::kMoments, false),
+      Metric("cum_repairs", &ComputedProbes::cum_repairs, "ops",
+             "cumulative repairs by age category",
+             MetricKind::kCount, MetricAggregation::kMoments, false),
+      Metric("cum_losses", &ComputedProbes::cum_losses, "archives",
+             "cumulative losses by age category",
+             MetricKind::kCount, MetricAggregation::kMoments, false),
+      Metric("mean_population", &ComputedProbes::mean_population, "peers",
+             "mean category population over the run",
+             MetricKind::kReal, MetricAggregation::kMoments, false),
+      Metric("final_population", &ComputedProbes::final_population, "peers",
+             "live peers when the run ended",
+             MetricKind::kCount, MetricAggregation::kMoments, false),
 
-  // --- transfer-scheduling probes (bandwidth-constrained repairs) ---
-  r->metrics.push_back(Make(
-      "time_to_backup_mean", "rounds", "mean rounds from repair flag to "
-      "completed initial placement (transfer time included when the "
-      "scheduler is enabled)", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "time_to_backup_p99", "rounds", "99th percentile of rounds from repair "
-      "flag to completed initial placement", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "time_to_restore_mean", "rounds", "mean rounds a maintenance repair "
-      "spent downloading the k blocks needed to decode (the restore path)",
-      false, MetricKind::kReal, MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "time_to_restore_p99", "rounds", "99th percentile of the restore-path "
-      "download rounds", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "data_loss_window", "rounds", "longest single vulnerability episode: "
-      "max rounds any peer spent flagged below the repair trigger (open "
-      "episodes truncated at the end of the run)", false, MetricKind::kCount,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "uplink_utilization", "fraction", "uplink bytes moved over uplink "
-      "bytes available, summed over rounds with transfer demand", false,
-      MetricKind::kReal, MetricAggregation::kMoments, false));
-}
-
-Registry& GlobalRegistry() {
-  static Registry* registry = [] {
-    auto* r = new Registry();
-    RegisterBuiltinsLocked(r);
-    return r;
-  }();
-  return *registry;
+      // --- transfer-scheduling probes (bandwidth-constrained repairs) ---
+      Metric("time_to_backup_mean", &ComputedProbes::time_to_backup_mean,
+             "rounds",
+             "mean rounds from repair flag to completed initial placement "
+             "(transfer time included when the scheduler is enabled)",
+             MetricKind::kReal, MetricAggregation::kMoments, false),
+      Metric("time_to_backup_p99", &ComputedProbes::time_to_backup_p99,
+             "rounds",
+             "99th percentile of rounds from repair flag to completed initial "
+             "placement",
+             MetricKind::kReal, MetricAggregation::kMoments, false),
+      Metric("time_to_restore_mean", &ComputedProbes::time_to_restore_mean,
+             "rounds",
+             "mean rounds a maintenance repair spent downloading the k blocks "
+             "needed to decode (the restore path)",
+             MetricKind::kReal, MetricAggregation::kMoments, false),
+      Metric("time_to_restore_p99", &ComputedProbes::time_to_restore_p99,
+             "rounds",
+             "99th percentile of the restore-path download rounds",
+             MetricKind::kReal, MetricAggregation::kMoments, false),
+      Metric("data_loss_window", &ComputedProbes::data_loss_window, "rounds",
+             "longest single vulnerability episode: max rounds any peer spent "
+             "flagged below the repair trigger (open episodes truncated at "
+             "the end of the run)",
+             MetricKind::kCount, MetricAggregation::kMoments, false),
+      Metric("uplink_utilization", &ComputedProbes::uplink_utilization,
+             "fraction",
+             "uplink bytes moved over uplink bytes available, summed over "
+             "rounds with transfer demand",
+             MetricKind::kReal, MetricAggregation::kMoments, false),
+  };
+  return *table;
 }
 
 }  // namespace
 
 std::vector<const MetricDescriptor*> ListMetrics() {
-  Registry& r = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(r.mutex);
   std::vector<const MetricDescriptor*> out;
-  out.reserve(r.metrics.size());
-  for (const MetricDescriptor& d : r.metrics) out.push_back(&d);
+  out.reserve(MetricTable().size());
+  for (const MetricDescriptor& d : MetricTable()) out.push_back(&d);
   return out;
 }
 
 const MetricDescriptor* FindMetric(const std::string& name) {
-  Registry& r = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const MetricDescriptor& d : r.metrics) {
+  for (const MetricDescriptor& d : MetricTable()) {
     if (d.name == name) return &d;
   }
   return nullptr;
-}
-
-void RegisterMetric(MetricDescriptor descriptor) {
-  Registry& r = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const MetricDescriptor& d : r.metrics) {
-    P2P_CHECK(d.name != descriptor.name);  // duplicate registration
-  }
-  r.metrics.push_back(std::move(descriptor));
 }
 
 std::vector<std::string> DefaultMetricNames() {

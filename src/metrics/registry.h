@@ -1,24 +1,24 @@
-// The metric registry: the set of named probes a run can report, each
-// described declaratively (unit, shape, rendering kind, aggregation) in the
-// style of the strategy registries (core/strategy_registry.h).
+// The metric registry: the named probes a run can report, each described
+// declaratively (unit, shape, rendering kind, aggregation) in one static
+// table (registry.cc) whose rows also name the ComputedProbes field that
+// feeds the metric.
 //
 // Every report column of the results pipeline - scenario::Outcome's
 // RunReport, sweep CSV/JSON columns, replicate moments, util::Table
 // rendering - is derived from these descriptors rather than enumerated by
-// hand, so a new measurement is one registration plus the collector hook
-// that feeds it, not a four-layer struct edit.
-//
-// Built-ins register themselves on first access; RegisterMetric adds further
-// probes (call before any concurrent sweep starts - registration is
-// mutex-guarded, but a metric must be registered before a selection naming
-// it is resolved). `scenario_tool metrics` lists everything here.
+// hand, so a new measurement is one table row plus its computation in
+// Collector::BuildReport, not a four-layer struct edit. The table is
+// immutable, so any thread may read it. `scenario_tool metrics` lists
+// everything here.
 
 #ifndef P2P_METRICS_REGISTRY_H_
 #define P2P_METRICS_REGISTRY_H_
 
+#include <array>
 #include <string>
 #include <vector>
 
+#include "metrics/categories.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -41,7 +41,22 @@ enum class MetricAggregation {
   kMoments,
 };
 
-/// One registered probe.
+/// Every value Collector::BuildReport distills from its accumulators, one
+/// field per metric.
+struct ComputedProbes {
+  double repairs = 0, losses = 0, blocks_uploaded = 0, departures = 0,
+         timeouts = 0;
+  double repair_bandwidth = 0, time_to_repair_mean = 0, time_to_repair_p99 = 0,
+         partnership_lifetime_mean = 0, vulnerability_rounds = 0,
+         final_population = 0;
+  double time_to_backup_mean = 0, time_to_backup_p99 = 0,
+         time_to_restore_mean = 0, time_to_restore_p99 = 0,
+         data_loss_window = 0, uplink_utilization = 0;
+  std::array<double, kCategoryCount> repairs_1k{}, losses_1k{}, cum_repairs{},
+      cum_losses{}, mean_population{};
+};
+
+/// One registered probe: a row of the metric table.
 struct MetricDescriptor {
   /// Stable token; the CSV/JSON column name (per-category metrics expand to
   /// one column per category, suffixed `_<category token>`).
@@ -57,19 +72,21 @@ struct MetricDescriptor {
   /// Member of the default selection - the exact column set (and order) of
   /// the pre-registry emitters, locked byte-for-byte by the sweep goldens.
   bool default_selected = false;
+  /// The ComputedProbes field that feeds this metric: `per_category_field`
+  /// when per_category, else `scalar_field`.
+  double ComputedProbes::*scalar_field = nullptr;
+  std::array<double, kCategoryCount> ComputedProbes::*per_category_field =
+      nullptr;
 };
 
-/// Registered descriptors in registration order (built-ins first). The
-/// returned pointers stay valid for the process lifetime.
+/// The metric table's rows in table order. The pointers stay valid for the
+/// process lifetime.
 std::vector<const MetricDescriptor*> ListMetrics();
 
 /// Looks a metric up by exact name; null when unknown.
 const MetricDescriptor* FindMetric(const std::string& name);
 
-/// Registers a probe; aborts on a duplicate name.
-void RegisterMetric(MetricDescriptor descriptor);
-
-/// Names of the default selection, in registration order.
+/// Names of the default selection, in table order.
 std::vector<std::string> DefaultMetricNames();
 
 /// Resolves a selection to descriptors: empty means the default set; errors

@@ -22,7 +22,7 @@ util::Status Scenario::Validate() const {
         "rounds must be <= " + std::to_string(INT32_MAX) +
         " (partnership rounds are 32-bit), got " + std::to_string(rounds));
   }
-  if (auto selection = metrics::ResolveCollectedSelection(metrics);
+  if (auto selection = metrics::ResolveMetricSelection(metrics);
       !selection.ok()) {
     return selection.status();
   }

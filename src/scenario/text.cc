@@ -1,9 +1,11 @@
 #include "scenario/text.h"
 
+#include <climits>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "scenario/parse.h"
 
@@ -242,6 +244,10 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
       auto set_int = [&](int* dst) {
         auto v = ParseInt(value, field);
         if (!v.ok()) return v.status();
+        if (*v < INT_MIN || *v > INT_MAX) {
+          return util::Status::InvalidArgument(key + " out of int range: '" +
+                                               value + "'");
+        }
         *dst = static_cast<int>(*v);
         return util::Status::OK();
       };
@@ -259,6 +265,12 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
       };
       auto set_bool = [&](bool* dst) {
         auto v = ParseBool(value);
+        if (!v.ok()) return v.status();
+        *dst = *v;
+        return util::Status::OK();
+      };
+      auto set_spec = [&](auto* dst) {
+        auto v = std::remove_pointer_t<decltype(dst)>::Parse(value);
         if (!v.ok()) return v.status();
         *dst = *v;
         return util::Status::OK();
@@ -283,14 +295,11 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
       } else if (field == "use_acceptance") {
         st = set_bool(&o.use_acceptance);
       } else if (field == "selection") {
-        auto v = core::SelectionSpec::Parse(value);
-        if (v.ok()) o.selection = *v; else st = v.status();
+        st = set_spec(&o.selection);
       } else if (field == "policy") {
-        auto v = core::PolicySpec::Parse(value);
-        if (v.ok()) o.policy = *v; else st = v.status();
+        st = set_spec(&o.policy);
       } else if (field == "estimator") {
-        auto v = core::EstimatorSpec::Parse(value);
-        if (v.ok()) o.estimator = *v; else st = v.status();
+        st = set_spec(&o.estimator);
       } else if (field == "pool_factor") {
         st = set_double(&o.pool_factor);
       } else if (field == "sample_attempt_factor") {

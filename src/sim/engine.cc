@@ -13,11 +13,6 @@ void Engine::AddRoundHook(std::function<void(Round)> hook) {
   hooks_.push_back(std::move(hook));
 }
 
-void Engine::ScheduleAt(Round at, std::function<void()> fn) {
-  P2P_CHECK(at >= now_);
-  deferred_.Schedule(at, std::move(fn));
-}
-
 util::Rng* Engine::Stream(uint64_t purpose) {
   for (auto& [id, rng] : streams_) {
     if (id == purpose) return rng.get();
@@ -29,15 +24,13 @@ util::Rng* Engine::Stream(uint64_t purpose) {
 
 bool Engine::Step() {
   if (now_ >= options_.end_round) return false;
-  deferred_.DrainInto(now_, [](std::function<void()>& fn) { fn(); });
   for (auto& hook : hooks_) hook(now_);
   ++now_;
   return true;
 }
 
 void Engine::Run() {
-  stop_requested_ = false;
-  while (!stop_requested_ && Step()) {
+  while (Step()) {
   }
 }
 

@@ -3,9 +3,9 @@
 // execution is sequential ... the order of peers is chosen randomly at each
 // round."
 //
-// The engine owns the clock, named deterministic RNG streams, a generic
-// low-frequency event queue, and the per-round hook list. Protocols keep
-// their own typed CalendarQueues for high-frequency events.
+// The engine owns the clock, named deterministic RNG streams, and the
+// per-round hook list. Protocols keep their own typed CalendarQueues
+// (sim/event_queue.h) for their events.
 
 #ifndef P2P_SIM_ENGINE_H_
 #define P2P_SIM_ENGINE_H_
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "sim/clock.h"
-#include "sim/event_queue.h"
 #include "util/rng.h"
 
 namespace p2p {
@@ -42,27 +41,20 @@ class Engine {
   /// Configured final round (exclusive).
   Round end_round() const { return options_.end_round; }
 
-  /// Registers a hook invoked once per round, in registration order, after
-  /// the generic event queue for that round has been drained.
+  /// Registers a hook invoked once per round, in registration order.
   void AddRoundHook(std::function<void(Round)> hook);
-
-  /// Schedules a one-shot callback in the generic queue; `at` >= now().
-  void ScheduleAt(Round at, std::function<void()> fn);
 
   /// Returns a deterministic RNG stream for the given purpose id. The same
   /// (seed, purpose) pair always yields the same stream, so adding a new
   /// subsystem does not perturb existing ones.
   util::Rng* Stream(uint64_t purpose);
 
-  /// Executes one round: drains due callbacks, then runs round hooks.
-  /// Returns false when end_round has been reached (nothing executed).
+  /// Executes one round: runs the round hooks. Returns false when
+  /// end_round has been reached (nothing executed).
   bool Step();
 
-  /// Runs Step() until end_round or RequestStop().
+  /// Runs Step() until end_round.
   void Run();
-
-  /// Makes Run() return after the current round completes.
-  void RequestStop() { stop_requested_ = true; }
 
   /// Shuffles `ids` in place with the scheduling stream: the per-round
   /// random peer order mandated by the paper.
@@ -74,9 +66,7 @@ class Engine {
 
   EngineOptions options_;
   Round now_ = 0;
-  bool stop_requested_ = false;
   std::vector<std::function<void(Round)>> hooks_;
-  CalendarQueue<std::function<void()>> deferred_;
   // unique_ptr keeps handed-out Rng* stable as new streams are registered.
   std::vector<std::pair<uint64_t, std::unique_ptr<util::Rng>>> streams_;
 };

@@ -37,20 +37,11 @@ class CalendarQueue {
     ++size_;
   }
 
-  /// Returns and clears the events scheduled for round `at`; `at` must be
-  /// the current round (rounds are consumed in order).
-  std::vector<E> Drain(Round at) {
-    assert(at == base_);
-    std::vector<E> out = std::move(slots_[Index(at)]);
-    slots_[Index(at)].clear();
-    ++base_;
-    size_ -= out.size();
-    return out;
-  }
-
-  /// Drains via callback. The slot is detached first, so callbacks may
-  /// safely Schedule() into this queue (at rounds > `at`) while draining;
-  /// the drained vector's capacity is recycled.
+  /// Drains the events scheduled for round `at`, in FIFO order, via
+  /// callback; `at` must be the current round (rounds are consumed in
+  /// order). The slot is detached first, so callbacks may safely Schedule()
+  /// into this queue (at rounds > `at`) while draining; the drained
+  /// vector's capacity is recycled.
   template <typename Fn>
   void DrainInto(Round at, Fn&& fn) {
     assert(at == base_);
@@ -75,9 +66,6 @@ class CalendarQueue {
 
   /// Total number of pending events.
   size_t size() const { return size_; }
-
-  /// The next round that will be drained.
-  Round current_round() const { return base_; }
 
  private:
   static size_t NextPow2(Round v) {

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <map>
 
-#include "metrics/collector.h"
+#include "metrics/registry.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -97,7 +97,7 @@ SweepReport SweepReport::Build(const SweepSpec& spec,
                                const std::vector<CellResult>& results) {
   SweepReport report;
   report.axes_ = spec.ActiveAxes();
-  auto selection = metrics::ResolveCollectedSelection(
+  auto selection = metrics::ResolveMetricSelection(
       spec.metrics.empty() ? spec.base.metrics : spec.metrics);
   if (!selection.ok()) {
     P2P_LOG_ERROR("sweep metric selection: %s",

@@ -1,6 +1,6 @@
 #include "sweep/spec.h"
 
-#include "metrics/collector.h"
+#include "metrics/registry.h"
 #include "util/rng.h"
 
 namespace p2p {
@@ -36,48 +36,18 @@ util::Result<std::vector<Scenario>> ResolveWorlds(
   return worlds;
 }
 
-// Resolves the policy axis to parsed specs; errors name the axis and token.
-util::Result<std::vector<core::PolicySpec>> ResolvePolicies(
+// Resolves a strategy axis to parsed specs; errors name the axis and token.
+template <typename Strategy>
+util::Result<std::vector<core::StrategySpec<Strategy>>> ResolveSpecAxis(
     const std::vector<std::string>& tokens) {
-  std::vector<core::PolicySpec> specs;
+  std::vector<core::StrategySpec<Strategy>> specs;
   specs.reserve(tokens.size());
   for (const std::string& token : tokens) {
-    util::Result<core::PolicySpec> parsed = core::PolicySpec::Parse(token);
+    auto parsed = core::StrategySpec<Strategy>::Parse(token);
     if (!parsed.ok()) {
-      return util::Status::InvalidArgument("policy axis: " +
-                                           parsed.status().message());
-    }
-    specs.push_back(std::move(*parsed));
-  }
-  return specs;
-}
-
-util::Result<std::vector<core::SelectionSpec>> ResolveSelections(
-    const std::vector<std::string>& tokens) {
-  std::vector<core::SelectionSpec> specs;
-  specs.reserve(tokens.size());
-  for (const std::string& token : tokens) {
-    util::Result<core::SelectionSpec> parsed =
-        core::SelectionSpec::Parse(token);
-    if (!parsed.ok()) {
-      return util::Status::InvalidArgument("selection axis: " +
-                                           parsed.status().message());
-    }
-    specs.push_back(std::move(*parsed));
-  }
-  return specs;
-}
-
-util::Result<std::vector<core::EstimatorSpec>> ResolveEstimators(
-    const std::vector<std::string>& tokens) {
-  std::vector<core::EstimatorSpec> specs;
-  specs.reserve(tokens.size());
-  for (const std::string& token : tokens) {
-    util::Result<core::EstimatorSpec> parsed =
-        core::EstimatorSpec::Parse(token);
-    if (!parsed.ok()) {
-      return util::Status::InvalidArgument("estimator axis: " +
-                                           parsed.status().message());
+      return util::Status::InvalidArgument(
+          std::string(core::StrategyTraits<Strategy>::kLabel) +
+          " axis: " + parsed.status().message());
     }
     specs.push_back(std::move(*parsed));
   }
@@ -93,7 +63,7 @@ util::Status ValidateResolved(const SweepSpec& spec,
     return util::Status::InvalidArgument("replicates must be >= 1, got " +
                                          std::to_string(spec.replicates));
   }
-  if (auto selection = metrics::ResolveCollectedSelection(spec.metrics);
+  if (auto selection = metrics::ResolveMetricSelection(spec.metrics);
       !selection.ok()) {
     return util::Status::InvalidArgument("metrics list: " +
                                          selection.status().message());
@@ -143,9 +113,12 @@ std::string Cell::Label() const { return JoinCoords(coords); }
 util::Status SweepSpec::Validate() const {
   util::Result<std::vector<Scenario>> worlds = ResolveWorlds(scenarios);
   if (!worlds.ok()) return worlds.status();
-  if (auto p = ResolvePolicies(policies); !p.ok()) return p.status();
-  if (auto s = ResolveSelections(selections); !s.ok()) return s.status();
-  if (auto e = ResolveEstimators(estimators); !e.ok()) return e.status();
+  P2P_RETURN_IF_ERROR(
+      ResolveSpecAxis<core::MaintenancePolicy>(policies).status());
+  P2P_RETURN_IF_ERROR(
+      ResolveSpecAxis<core::SelectionStrategy>(selections).status());
+  P2P_RETURN_IF_ERROR(
+      ResolveSpecAxis<core::LifetimeEstimator>(estimators).status());
   return ValidateResolved(*this, *worlds);
 }
 
@@ -179,11 +152,11 @@ util::Result<std::vector<Cell>> SweepSpec::Expand() const {
   P2P_ASSIGN_OR_RETURN(const std::vector<Scenario> worlds,
                        ResolveWorlds(scenarios));
   P2P_ASSIGN_OR_RETURN(const std::vector<core::PolicySpec> policy_specs,
-                       ResolvePolicies(policies));
+                       ResolveSpecAxis<core::MaintenancePolicy>(policies));
   P2P_ASSIGN_OR_RETURN(const std::vector<core::SelectionSpec> selection_specs,
-                       ResolveSelections(selections));
+                       ResolveSpecAxis<core::SelectionStrategy>(selections));
   P2P_ASSIGN_OR_RETURN(const std::vector<core::EstimatorSpec> estimator_specs,
-                       ResolveEstimators(estimators));
+                       ResolveSpecAxis<core::LifetimeEstimator>(estimators));
   P2P_RETURN_IF_ERROR(ValidateResolved(*this, worlds));
 
   std::vector<Cell> cells;

@@ -1,31 +1,26 @@
 #include "util/flags.h"
 
-#include <cstdlib>
 #include <sstream>
+
+#include "util/text.h"
 
 namespace p2p {
 namespace util {
 namespace {
 
+// Flag values use the same number lexers as the scenario text format; these
+// wrappers only add the error messages.
 Status ParseInt64(const std::string& s, int64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') {
+  if (!ParseInt64Token(s, out)) {
     return Status::InvalidArgument("not an integer: '" + s + "'");
   }
-  *out = v;
   return Status::OK();
 }
 
 Status ParseDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end == s.c_str() || *end != '\0') {
+  if (!ParseDoubleToken(s, out)) {
     return Status::InvalidArgument("not a number: '" + s + "'");
   }
-  *out = v;
   return Status::OK();
 }
 

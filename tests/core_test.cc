@@ -377,7 +377,7 @@ TEST(SelectionTest, RegistryInstantiatesEveryBuiltin) {
        {"oldest-first", "random", "youngest-first", "weighted-random"}) {
     auto spec = SelectionSpec::Parse(name);
     ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-    auto strategy = MakeSelection(*spec);
+    auto strategy = SelectionRegistry::Make(*spec, StrategyEnv{});
     ASSERT_TRUE(strategy.ok()) << strategy.status().ToString();
     EXPECT_EQ((*strategy)->name(), name);
   }
@@ -601,13 +601,32 @@ TEST(StrategySpecTest, ValidateCatchesHandBuiltMistakes) {
             std::string::npos);
 }
 
+TEST(StrategySpecTest, EachFamilyKeepsItsDefaultAndErrorLabel) {
+  // One spec template serves all three families; StrategyTraits supplies
+  // the default strategy and the label every error text carries.
+  EXPECT_EQ(PolicySpec().ToString(), "fixed-threshold");
+  EXPECT_EQ(SelectionSpec().ToString(), "oldest-first");
+  EXPECT_EQ(EstimatorSpec().ToString(), "age-rank");
+  EXPECT_EQ(PolicySpec::Parse("psychic").status().message(),
+            "unknown policy: 'psychic'");
+  EXPECT_EQ(SelectionSpec::Parse("psychic").status().message(),
+            "unknown selection: 'psychic'");
+  EXPECT_EQ(EstimatorSpec::Parse("psychic").status().message(),
+            "unknown estimator: 'psychic'");
+  EXPECT_EQ(PolicySpec::Parse("proactive{bogus=1}").status().message(),
+            "policy 'proactive' has no parameter 'bogus'");
+  EXPECT_EQ(SelectionSpec::Parse("random{bogus=1}").status().message(),
+            "selection 'random' has no parameter 'bogus'");
+  EXPECT_EQ(EstimatorSpec::Parse("age-rank{bogus=1}").status().message(),
+            "estimator 'age-rank' has no parameter 'bogus'");
+}
+
 TEST(StrategySpecTest, FactoryWiresContextualThreshold) {
   StrategyEnv env;
   env.repair_threshold = 140;
 
-  // No explicit threshold: the spec follows env.repair_threshold, exactly
-  // like the historical MakePolicy(kind, fixed_threshold) wiring.
-  auto fixed = MakePolicy(PolicySpec(), env);
+  // No explicit threshold: the spec follows env.repair_threshold.
+  auto fixed = PolicyRegistry::Make(PolicySpec(), env);
   ASSERT_TRUE(fixed.ok());
   EXPECT_TRUE((*fixed)->Evaluate(Ctx(139)).trigger);
   EXPECT_FALSE((*fixed)->Evaluate(Ctx(140)).trigger);
@@ -615,13 +634,13 @@ TEST(StrategySpecTest, FactoryWiresContextualThreshold) {
   // An explicit threshold parameter overrides the context.
   auto spec = PolicySpec::Parse("fixed-threshold{threshold=150}");
   ASSERT_TRUE(spec.ok());
-  auto overridden = MakePolicy(*spec, env);
+  auto overridden = PolicyRegistry::Make(*spec, env);
   ASSERT_TRUE(overridden.ok());
   EXPECT_TRUE((*overridden)->Evaluate(Ctx(149)).trigger);
   EXPECT_FALSE((*overridden)->Evaluate(Ctx(150)).trigger);
 
   // The proactive emergency floor is contextual too.
-  auto proactive = MakePolicy(*PolicySpec::Parse("proactive"), env);
+  auto proactive = PolicyRegistry::Make(*PolicySpec::Parse("proactive"), env);
   ASSERT_TRUE(proactive.ok());
   EXPECT_TRUE((*proactive)->Evaluate(Ctx(139)).trigger);
 }
@@ -629,7 +648,7 @@ TEST(StrategySpecTest, FactoryWiresContextualThreshold) {
 TEST(StrategySpecTest, RegistryIsOpenForExtension) {
   // Registering a new policy makes it parseable, listable, and runnable -
   // the whole point of replacing the closed enums.
-  if (FindPolicy("test-always-repair") == nullptr) {
+  if (PolicyRegistry::Find("test-always-repair") == nullptr) {
     PolicyDescriptor d;
     d.name = "test-always-repair";
     d.summary = "test fixture";
@@ -659,18 +678,18 @@ TEST(StrategySpecTest, RegistryIsOpenForExtension) {
       return std::unique_ptr<MaintenancePolicy>(
           new AlwaysRepair(static_cast<int>(p.Int("restore_to"))));
     };
-    RegisterPolicy(std::move(d));
+    PolicyRegistry::Register(std::move(d));
   }
 
   auto spec = PolicySpec::Parse("test-always-repair{restore_to=180}");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  auto policy = MakePolicy(*spec, StrategyEnv{});
+  auto policy = PolicyRegistry::Make(*spec, StrategyEnv{});
   ASSERT_TRUE(policy.ok());
   EXPECT_TRUE((*policy)->Evaluate(Ctx(255)).trigger);
   EXPECT_EQ((*policy)->Evaluate(Ctx(255)).restore_to, 180);
 
   bool listed = false;
-  for (const PolicyDescriptor* d : ListPolicies()) {
+  for (const PolicyDescriptor* d : PolicyRegistry::List()) {
     listed = listed || d->name == "test-always-repair";
   }
   EXPECT_TRUE(listed);
@@ -723,12 +742,12 @@ TEST(EstimatorSpecTest, RegistryInstantiatesEveryBuiltin) {
                            "availability-weighted"}) {
     auto spec = EstimatorSpec::Parse(name);
     ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-    auto estimator = MakeEstimator(*spec, StrategyEnv{});
+    auto estimator = EstimatorRegistry::Make(*spec, StrategyEnv{});
     ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
     EXPECT_EQ((*estimator)->name(), name);
     // Fresh instance per call: stateful estimators must not share history
     // across concurrently running networks.
-    auto second = MakeEstimator(*spec, StrategyEnv{});
+    auto second = EstimatorRegistry::Make(*spec, StrategyEnv{});
     ASSERT_TRUE(second.ok());
     EXPECT_NE(estimator->get(), second->get());
   }
@@ -739,7 +758,7 @@ TEST(EstimatorSpecTest, FactoryWiresContextualHorizon) {
   env.acceptance_horizon = 100;
 
   // No explicit horizon: age-rank saturates at env.acceptance_horizon.
-  auto contextual = MakeEstimator(EstimatorSpec(), env);
+  auto contextual = EstimatorRegistry::Make(EstimatorSpec(), env);
   ASSERT_TRUE(contextual.ok());
   EXPECT_DOUBLE_EQ((*contextual)->StabilityScore(Obs(100)),
                    (*contextual)->StabilityScore(Obs(5000)));
@@ -749,7 +768,7 @@ TEST(EstimatorSpecTest, FactoryWiresContextualHorizon) {
   // An explicit horizon parameter overrides the context.
   auto spec = EstimatorSpec::Parse("age-rank{horizon=500}");
   ASSERT_TRUE(spec.ok());
-  auto overridden = MakeEstimator(*spec, env);
+  auto overridden = EstimatorRegistry::Make(*spec, env);
   ASSERT_TRUE(overridden.ok());
   EXPECT_LT((*overridden)->StabilityScore(Obs(100)),
             (*overridden)->StabilityScore(Obs(499)));
@@ -758,7 +777,7 @@ TEST(EstimatorSpecTest, FactoryWiresContextualHorizon) {
 }
 
 TEST(EstimatorSpecTest, RegistryIsOpenForExtension) {
-  if (FindEstimator("test-coin-flip") == nullptr) {
+  if (EstimatorRegistry::Find("test-coin-flip") == nullptr) {
     EstimatorDescriptor d;
     d.name = "test-coin-flip";
     d.summary = "test fixture";
@@ -775,17 +794,17 @@ TEST(EstimatorSpecTest, RegistryIsOpenForExtension) {
       };
       return std::unique_ptr<LifetimeEstimator>(new CoinFlip());
     };
-    RegisterEstimator(std::move(d));
+    EstimatorRegistry::Register(std::move(d));
   }
 
   auto spec = EstimatorSpec::Parse("test-coin-flip");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  auto estimator = MakeEstimator(*spec, StrategyEnv{});
+  auto estimator = EstimatorRegistry::Make(*spec, StrategyEnv{});
   ASSERT_TRUE(estimator.ok());
   EXPECT_EQ((*estimator)->name(), "test-coin-flip");
 
   bool listed = false;
-  for (const EstimatorDescriptor* d : ListEstimators()) {
+  for (const EstimatorDescriptor* d : EstimatorRegistry::List()) {
     listed = listed || d->name == "test-coin-flip";
   }
   EXPECT_TRUE(listed);
@@ -902,9 +921,9 @@ uint64_t TextHash(const std::string& text) {
 }
 
 TEST(StrategySpecTest, SeededMutationsGiveNamedErrorsOrExactRoundTrips) {
-  std::vector<std::string> bases = RegisteredSpecTexts(ListPolicies());
-  for (const auto& list : {RegisteredSpecTexts(ListSelections()),
-                           RegisteredSpecTexts(ListEstimators())}) {
+  std::vector<std::string> bases = RegisteredSpecTexts(PolicyRegistry::List());
+  for (const auto& list : {RegisteredSpecTexts(SelectionRegistry::List()),
+                           RegisteredSpecTexts(EstimatorRegistry::List())}) {
     bases.insert(bases.end(), list.begin(), list.end());
   }
   constexpr int kMutantsPerSpec = 256;

@@ -143,6 +143,25 @@ TEST(FlagSetTest, TypedRangeChecks) {
   EXPECT_TRUE(flags3.Parse(argv3.argc(), argv3.argv()).IsInvalidArgument());
 }
 
+TEST(FlagSetTest, DoublesMustBeFinite) {
+  for (const std::string value : {"nan", "inf", "-inf", "1e999"}) {
+    double x = 1.5;
+    FlagSet flags;
+    flags.Double("x", &x, "a double");
+    Argv argv({"--x=" + value});
+    const Status st = flags.Parse(argv.argc(), argv.argv());
+    EXPECT_TRUE(st.IsInvalidArgument()) << value;
+    EXPECT_EQ(st.message(), "not a number: '" + value + "'");
+    EXPECT_EQ(x, 1.5) << value;  // the bound variable keeps its value
+  }
+  double x = 0.0;
+  FlagSet flags;
+  flags.Double("x", &x, "a double");
+  Argv argv({"--x=-2.5e3"});
+  ASSERT_TRUE(flags.Parse(argv.argc(), argv.argv()).ok());
+  EXPECT_EQ(x, -2500.0);
+}
+
 TEST(FlagSetTest, UsageListsFlagsAndDefaults) {
   int64_t n = 7;
   bool b = true;

@@ -155,37 +155,19 @@ TEST(MetricRegistryTest, SelectionResolvesDefaultsAndRejectsBadNames) {
   EXPECT_NE(bad.status().message().find("duplicate"), std::string::npos);
 }
 
-TEST(MetricRegistryTest, RegistrationExtendsTheVocabulary) {
-  if (FindMetric("test-custom-probe") == nullptr) {
-    MetricDescriptor d;
-    d.name = "test-custom-probe";
-    d.unit = "widgets";
-    d.kind = MetricKind::kReal;
-    d.aggregation = MetricAggregation::kMoments;
-    RegisterMetric(std::move(d));
-  }
-  ASSERT_NE(FindMetric("test-custom-probe"), nullptr);
-  auto resolved = ResolveMetricSelection({"test-custom-probe"});
-  ASSERT_TRUE(resolved.ok());
-  // The default set is unchanged by further registrations.
-  EXPECT_EQ(DefaultMetricNames().size(), 7u);
-  // Registry resolution accepts the name, but selecting it for a run fails
-  // fast: no collector probe feeds it (a dangling registration must surface
-  // as a Status at validation, not an abort after the sweep has run).
-  auto collected = ResolveCollectedSelection({"test-custom-probe"});
-  EXPECT_TRUE(collected.status().IsInvalidArgument());
-  EXPECT_NE(collected.status().message().find("no collector probe"),
-            std::string::npos);
-}
-
-TEST(CollectorTest, FeedsMetricMatchesBuildReport) {
-  // The collectability list and BuildReport's dispatch must agree: a metric
-  // is in the report exactly when FeedsMetric claims it.
+TEST(CollectorTest, BuildReportEmitsTheTableInOrder) {
+  // BuildReport emits exactly the table's metrics, in table order, each in
+  // its row's shape.
   Collector c(2, 24);
   const RunReport report = c.BuildReport(24);
-  for (const MetricDescriptor* d : ListMetrics()) {
-    EXPECT_EQ(report.Find(d->name) != nullptr, Collector::FeedsMetric(d->name))
-        << d->name;
+  const std::vector<const MetricDescriptor*> table = ListMetrics();
+  ASSERT_EQ(report.values().size(), table.size());
+  for (size_t i = 0; i < table.size(); ++i) {
+    EXPECT_EQ(report.values()[i].descriptor, table[i]) << table[i]->name;
+    EXPECT_EQ(table[i]->per_category,
+              table[i]->per_category_field != nullptr) << table[i]->name;
+    EXPECT_EQ(table[i]->per_category, table[i]->scalar_field == nullptr)
+        << table[i]->name;
   }
 }
 

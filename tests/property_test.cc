@@ -14,7 +14,6 @@
 #include "core/strategy_registry.h"
 #include "core/strategy_spec.h"
 #include "erasure/reed_solomon.h"
-#include "metrics/collector.h"
 #include "metrics/registry.h"
 #include "scenario/registry.h"
 #include "sim/event_queue.h"
@@ -224,15 +223,15 @@ INSTANTIATE_TEST_SUITE_P(Grid, RsSubsetGrid,
 // in-range value. Integer draws stay in a simulation-sized window: the
 // declared ranges go to 2^20 and huge levels are valid but uninteresting.
 void DrawParams(const std::vector<core::ParamInfo>& params, int trial,
-                util::Rng* rng, core::StrategySpec* spec) {
+                util::Rng* rng, core::ParamMap* drawn) {
   if (trial % 2 == 0) return;
   for (const core::ParamInfo& info : params) {
     const double hi = std::min(info.max_value, 4096.0);
     if (info.type == core::ParamType::kInt) {
-      spec->params[info.name] = core::ParamValue::Int(rng->UniformInt(
+      (*drawn)[info.name] = core::ParamValue::Int(rng->UniformInt(
           static_cast<int64_t>(info.min_value), static_cast<int64_t>(hi)));
     } else {
-      spec->params[info.name] = core::ParamValue::Double(
+      (*drawn)[info.name] = core::ParamValue::Double(
           rng->UniformDouble(info.min_value, std::min(hi, 64.0)));
     }
   }
@@ -259,16 +258,16 @@ TEST(StrategyProperty, FlagLevelBoundsEveryRegisteredPolicy) {
   util::Rng rng(20240728);
   core::StrategyEnv env;  // k = 128, n = 256, repair_threshold = 148
 
-  for (const core::PolicyDescriptor* descriptor : core::ListPolicies()) {
+  for (const core::PolicyDescriptor* descriptor : core::PolicyRegistry::List()) {
     SCOPED_TRACE(descriptor->name);
     int valid_trials = 0;
     for (int trial = 0; trial < 200 && valid_trials < 50; ++trial) {
       core::PolicySpec spec;
       spec.name = descriptor->name;
-      DrawParams(descriptor->params, trial, &rng, &spec);
+      DrawParams(descriptor->params, trial, &rng, &spec.params);
       if (!spec.Validate().ok()) continue;  // e.g. floor > ceiling draws
       ++valid_trials;
-      auto policy = core::MakePolicy(spec, env);
+      auto policy = core::PolicyRegistry::Make(spec, env);
       ASSERT_TRUE(policy.ok()) << policy.status().ToString();
       const int flag = (*policy)->FlagLevel(env.k, env.n);
       for (int probe = 0; probe < 40; ++probe) {
@@ -303,16 +302,16 @@ TEST(StrategyProperty, StabilityScoreMonotoneInAgeForEveryEstimator) {
   util::Rng rng(20260729);
   core::StrategyEnv env;  // acceptance_horizon = 90 days
 
-  for (const core::EstimatorDescriptor* descriptor : core::ListEstimators()) {
+  for (const core::EstimatorDescriptor* descriptor : core::EstimatorRegistry::List()) {
     SCOPED_TRACE(descriptor->name);
     int valid_trials = 0;
     for (int trial = 0; trial < 200 && valid_trials < 50; ++trial) {
       core::EstimatorSpec spec;
       spec.name = descriptor->name;
-      DrawParams(descriptor->params, trial, &rng, &spec);
+      DrawParams(descriptor->params, trial, &rng, &spec.params);
       if (!spec.Validate().ok()) continue;
       ++valid_trials;
-      auto estimator = core::MakeEstimator(spec, env);
+      auto estimator = core::EstimatorRegistry::Make(spec, env);
       ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
       // Exercise the online-learning path too: a random departure history
       // must not break monotonicity of the empirical CDF.
@@ -353,16 +352,16 @@ TEST(StrategyProperty, MonitorBlindEstimatorsScoreFromAgeAlone) {
   core::StrategyEnv env;
   int blind_specs = 0;
 
-  for (const core::EstimatorDescriptor* descriptor : core::ListEstimators()) {
+  for (const core::EstimatorDescriptor* descriptor : core::EstimatorRegistry::List()) {
     SCOPED_TRACE(descriptor->name);
     int valid_trials = 0;
     for (int trial = 0; trial < 200 && valid_trials < 50; ++trial) {
       core::EstimatorSpec spec;
       spec.name = descriptor->name;
-      DrawParams(descriptor->params, trial, &rng, &spec);
+      DrawParams(descriptor->params, trial, &rng, &spec.params);
       if (!spec.Validate().ok()) continue;
       ++valid_trials;
-      auto estimator = core::MakeEstimator(spec, env);
+      auto estimator = core::EstimatorRegistry::Make(spec, env);
       ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
       LearnRandomDepartures(estimator->get(), &rng);
       if ((*estimator)->ReadsMonitor()) continue;
@@ -395,16 +394,16 @@ TEST(StrategyProperty, LossBlindPoliciesDecideWithoutTheLossRate) {
   core::StrategyEnv env;  // k = 128, n = 256, repair_threshold = 148
   int blind_specs = 0;
 
-  for (const core::PolicyDescriptor* descriptor : core::ListPolicies()) {
+  for (const core::PolicyDescriptor* descriptor : core::PolicyRegistry::List()) {
     SCOPED_TRACE(descriptor->name);
     int valid_trials = 0;
     for (int trial = 0; trial < 200 && valid_trials < 50; ++trial) {
       core::PolicySpec spec;
       spec.name = descriptor->name;
-      DrawParams(descriptor->params, trial, &rng, &spec);
+      DrawParams(descriptor->params, trial, &rng, &spec.params);
       if (!spec.Validate().ok()) continue;
       ++valid_trials;
-      auto policy = core::MakePolicy(spec, env);
+      auto policy = core::PolicyRegistry::Make(spec, env);
       ASSERT_TRUE(policy.ok()) << policy.status().ToString();
       if ((*policy)->ReadsLossRate()) continue;
       ++blind_specs;
@@ -461,11 +460,7 @@ TEST(MetricsProperty, AggregatedMeanLiesWithinCellRangeForEveryMetric) {
   spec.base.seed = rng.NextU64();
   spec.replicates = 3;
   for (const metrics::MetricDescriptor* d : metrics::ListMetrics()) {
-    // Select every collector-fed probe (a test binary may have registered
-    // extra metrics no probe feeds; those fail validation by design).
-    if (metrics::Collector::FeedsMetric(d->name)) {
-      spec.metrics.push_back(d->name);
-    }
+    spec.metrics.push_back(d->name);
   }
   ASSERT_TRUE(spec.Validate().ok()) << spec.Validate().ToString();
 

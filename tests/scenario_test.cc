@@ -404,6 +404,22 @@ TEST(TextTest, ErrorsNameLineAndToken) {
   bad = ParseScenarioText(
       "name = x\noptions.estimator = age-rank{horizon=forever}\n");
   EXPECT_NE(bad.status().message().find("forever"), std::string::npos);
+
+  // Integer options reject values outside int instead of wrapping them.
+  for (const std::string line : {"options.quota_blocks = 4294967680",
+                                  "options.k = 4294967424",
+                                  "options.repair_threshold = -4294967148"}) {
+    SCOPED_TRACE(line);
+    bad = ParseScenarioText("name = x\n" + line + "\n");
+    EXPECT_TRUE(bad.status().IsInvalidArgument());
+    const std::string& message = bad.status().message();
+    EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+    EXPECT_NE(message.find(line.substr(0, line.find(' '))), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(line.substr(line.rfind(' ') + 1)),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(TextTest, ParameterizedStrategySpecsRoundTrip) {

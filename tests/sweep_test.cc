@@ -505,7 +505,7 @@ TEST(RunnerTest, DefaultEstimatorSpecsMatchLegacyAgePath) {
   // bare `age-rank` default, an explicit horizon, an exponent-0
   // availability weighting, and the raw legacy key must all produce the
   // same simulation block for block.
-  if (core::FindEstimator("test-raw-age") == nullptr) {
+  if (core::EstimatorRegistry::Find("test-raw-age") == nullptr) {
     core::EstimatorDescriptor d;
     d.name = "test-raw-age";
     d.summary = "legacy sort key: score = raw age, unsaturated";
@@ -523,7 +523,7 @@ TEST(RunnerTest, DefaultEstimatorSpecsMatchLegacyAgePath) {
       };
       return std::unique_ptr<core::LifetimeEstimator>(new RawAge());
     };
-    core::RegisterEstimator(std::move(d));
+    core::EstimatorRegistry::Register(std::move(d));
   }
 
   SweepSpec base;
@@ -627,35 +627,35 @@ class ScoreWeightedSelection : public core::SelectionStrategy {
 // Registers "test-monitor-<name>" wrapping the bare built-in `name`; the
 // inner instance resolves its contextual defaults against the same env.
 void RegisterMonitorPathEstimator(const std::string& name) {
-  if (core::FindEstimator("test-monitor-" + name) != nullptr) return;
+  if (core::EstimatorRegistry::Find("test-monitor-" + name) != nullptr) return;
   core::EstimatorDescriptor d;
   d.name = "test-monitor-" + name;
   d.summary = "bare " + name + " scored through the monitor path";
   d.make = [name](const core::ResolvedParams&, const core::StrategyEnv& env) {
     core::EstimatorSpec spec;
     spec.name = name;
-    auto inner = core::MakeEstimator(spec, env);
+    auto inner = core::EstimatorRegistry::Make(spec, env);
     EXPECT_TRUE(inner.ok());
     return std::unique_ptr<core::LifetimeEstimator>(
         new MonitorPathEstimator(std::move(*inner)));
   };
-  core::RegisterEstimator(std::move(d));
+  core::EstimatorRegistry::Register(std::move(d));
 }
 
 void RegisterLossRatePathPolicy(const std::string& name) {
-  if (core::FindPolicy("test-loss-" + name) != nullptr) return;
+  if (core::PolicyRegistry::Find("test-loss-" + name) != nullptr) return;
   core::PolicyDescriptor d;
   d.name = "test-loss-" + name;
   d.summary = "bare " + name + " fed the loss-rate average";
   d.make = [name](const core::ResolvedParams&, const core::StrategyEnv& env) {
     core::PolicySpec spec;
     spec.name = name;
-    auto inner = core::MakePolicy(spec, env);
+    auto inner = core::PolicyRegistry::Make(spec, env);
     EXPECT_TRUE(inner.ok());
     return std::unique_ptr<core::MaintenancePolicy>(
         new LossRatePathPolicy(std::move(*inner)));
   };
-  core::RegisterPolicy(std::move(d));
+  core::PolicyRegistry::Register(std::move(d));
 }
 
 // A world where both fast paths have something to get wrong: departures
@@ -674,15 +674,15 @@ TEST(RunnerTest, AgeOnlyEstimatorsMatchTheirMonitorPath) {
   // be indistinguishable from scoring it through the monitor and the
   // per-round memo: each bare spec and its monitor-path wrapper produce
   // identical cells, under a selection that reads the score values.
-  if (core::FindSelection("test-score-weighted") == nullptr) {
+  if (core::SelectionRegistry::Find("test-score-weighted") == nullptr) {
     core::SelectionDescriptor d;
     d.name = "test-score-weighted";
     d.summary = "draw hosts with probability ~ score + 1";
-    d.make = [](const core::ResolvedParams&) {
+    d.make = [](const core::ResolvedParams&, const core::StrategyEnv&) {
       return std::unique_ptr<core::SelectionStrategy>(
           new ScoreWeightedSelection());
     };
-    core::RegisterSelection(std::move(d));
+    core::SelectionRegistry::Register(std::move(d));
   }
   const std::vector<std::string> bare = {"age-rank", "pareto-residual",
                                          "empirical-residual"};
@@ -692,7 +692,7 @@ TEST(RunnerTest, AgeOnlyEstimatorsMatchTheirMonitorPath) {
   for (const std::string& name : bare) {
     core::EstimatorSpec probe;
     probe.name = name;
-    ASSERT_FALSE((*core::MakeEstimator(probe, {}))->ReadsMonitor()) << name;
+    ASSERT_FALSE((*core::EstimatorRegistry::Make(probe, {}))->ReadsMonitor()) << name;
     RegisterMonitorPathEstimator(name);
     spec.estimators.push_back(name);
     spec.estimators.push_back("test-monitor-" + name);
@@ -718,7 +718,7 @@ TEST(RunnerTest, LossBlindPoliciesMatchTheirLossRatePath) {
   for (const std::string& name : bare) {
     core::PolicySpec probe;
     probe.name = name;
-    ASSERT_FALSE((*core::MakePolicy(probe, {}))->ReadsLossRate()) << name;
+    ASSERT_FALSE((*core::PolicyRegistry::Make(probe, {}))->ReadsLossRate()) << name;
     RegisterLossRatePathPolicy(name);
     spec.policies.push_back(name);
     spec.policies.push_back("test-loss-" + name);
