@@ -113,7 +113,7 @@ bool OverrideSpec(const std::string& text,
 int main(int argc, char** argv) {
   using namespace p2p;
 
-  int64_t peers = 0;
+  uint32_t peers = 0;
   int64_t rounds = 0;
   int64_t seed = -1;
   bool check = false;
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   std::string trace_path;
 
   util::FlagSet flags;
-  flags.Int64("peers", &peers, "population size (0 = scenario value)");
+  flags.UInt32("peers", &peers, "population size (0 = scenario value)");
   flags.Int64("rounds", &rounds, "rounds to simulate (0 = scenario value)");
   flags.Int64("seed", &seed, "random seed (-1 = scenario value)");
   flags.Bool("check", &check, "verify simulation invariants during the run");
@@ -215,9 +215,10 @@ int main(int argc, char** argv) {
   }
   if (command != "run") return Usage(argv[0]);
 
-  if (peers > 0) s.peers = static_cast<uint32_t>(peers);
-  if (rounds > 0) s.rounds = rounds;
-  if (seed >= 0) s.seed = static_cast<uint64_t>(seed);
+  if (auto st = scenario::OverrideScale(peers, rounds, seed, &s); !st.ok()) {
+    std::cerr << st.ToString() << "\n";
+    return 1;
+  }
   if (!OverrideSpec(policy_spec, &s.options.policy) ||
       !OverrideSpec(selection_spec, &s.options.selection) ||
       !OverrideSpec(estimator_spec, &s.options.estimator)) {

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   std::string estimators = "";
   std::string links = "";
   std::string metrics = "";
-  int64_t replicates = 1;
+  int replicates = 1;
   int threads = 0;
   std::string format = "pretty";
   std::string trace_path;
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   flags.String("metrics", &metrics,
                "comma-separated metric names to report (see 'scenario_tool "
                "metrics'; empty = default set)");
-  flags.Int64("replicates", &replicates, "seed replicates per grid point");
+  flags.Int32("replicates", &replicates, "seed replicates per grid point");
   flags.Int32("threads", &threads, "worker threads (0 = hardware)");
   flags.String("format", &format, "pretty | csv | aggregate | json");
   flags.String("trace", &trace_path,
@@ -91,58 +91,35 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  spec.replicates = static_cast<int>(replicates);
-  if (auto st = scenario::ParseIntList(thresholds, &spec.repair_thresholds);
-      !st.ok()) {
-    std::cerr << "--thresholds: " << st.ToString() << "\n";
+  spec.replicates = replicates;
+  // Parses one list flag into its spec field; false after printing the
+  // error. `optional` skips an empty flag, keeping the base value; the
+  // threshold axis is always parsed.
+  const auto parse = [](const char* flag, const std::string& text,
+                        auto parse_list, auto* out) {
+    const util::Status st = parse_list(text, out);
+    if (!st.ok()) std::cerr << "--" << flag << ": " << st.ToString() << "\n";
+    return st.ok();
+  };
+  const auto optional = [&parse](const char* flag, const std::string& text,
+                                 auto parse_list, auto* out) {
+    return text.empty() || parse(flag, text, parse_list, out);
+  };
+  if (!parse("thresholds", thresholds, scenario::ParseIntList,
+             &spec.repair_thresholds) ||
+      !optional("quotas", quotas, scenario::ParseIntList, &spec.quotas) ||
+      !optional("scenarios", scenarios, scenario::ParseStringList,
+                &spec.scenarios) ||
+      !optional("policies", policies, scenario::ParseSpecList,
+                &spec.policies) ||
+      !optional("selections", selections, scenario::ParseSpecList,
+                &spec.selections) ||
+      !optional("estimators", estimators, scenario::ParseSpecList,
+                &spec.estimators) ||
+      !optional("links", links, scenario::ParseStringList, &spec.links) ||
+      !optional("metrics", metrics, scenario::ParseStringList,
+                &spec.metrics)) {
     return 1;
-  }
-  if (!quotas.empty()) {
-    if (auto st = scenario::ParseIntList(quotas, &spec.quotas); !st.ok()) {
-      std::cerr << "--quotas: " << st.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (!scenarios.empty()) {
-    if (auto st = scenario::ParseStringList(scenarios, &spec.scenarios);
-        !st.ok()) {
-      std::cerr << "--scenarios: " << st.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (!policies.empty()) {
-    if (auto st = scenario::ParseSpecList(policies, &spec.policies);
-        !st.ok()) {
-      std::cerr << "--policies: " << st.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (!selections.empty()) {
-    if (auto st = scenario::ParseSpecList(selections, &spec.selections);
-        !st.ok()) {
-      std::cerr << "--selections: " << st.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (!estimators.empty()) {
-    if (auto st = scenario::ParseSpecList(estimators, &spec.estimators);
-        !st.ok()) {
-      std::cerr << "--estimators: " << st.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (!links.empty()) {
-    if (auto st = scenario::ParseStringList(links, &spec.links); !st.ok()) {
-      std::cerr << "--links: " << st.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (!metrics.empty()) {
-    if (auto st = scenario::ParseStringList(metrics, &spec.metrics);
-        !st.ok()) {
-      std::cerr << "--metrics: " << st.ToString() << "\n";
-      return 1;
-    }
   }
 
   sweep::RunnerOptions ropts;

@@ -48,6 +48,15 @@ registry
     yield at least one name: a source that is missing, or whose table no
     longer matches the scraper, is itself a violation.
 
+options
+    Option-table completeness: every data member of `struct SystemOptions`
+    in src/backup/options.h except num_peers (a scenario's top-level
+    `peers` key) must be named by exactly one row of the kOptionKeys table
+    beside it (`&SystemOptions::member`). Scenario text, its rendering and
+    SystemOptions equality all loop over that table, so a member without a
+    row would silently drop out of all three. A header that is missing, or
+    in which the struct is not found, is itself a violation.
+
 Escape hatch
 ------------
     // DETLINT-ALLOW(rule): reason
@@ -119,6 +128,16 @@ class Violation:
                                    self.message)
 
 
+def is_digit_separator(text, i):
+    """Whether the quote at text[i] separates digits (25'000), i.e. ends a
+    run of identifier characters that starts with a digit. A char literal's
+    prefix (L'x', u8'x') starts with a letter."""
+    start = i
+    while start > 0 and (text[start - 1].isalnum() or text[start - 1] in "_'"):
+        start -= 1
+    return start < i and text[start].isdigit()
+
+
 def strip_comments_and_strings(text):
     """Blanks comments, string and char literals, preserving line structure.
 
@@ -149,7 +168,7 @@ def strip_comments_and_strings(text):
                 out.append(" ")
                 i += 1
                 continue
-            if c == "'":
+            if c == "'" and not is_digit_separator(text, i):
                 state = "char"
                 out.append(" ")
                 i += 1
@@ -374,6 +393,72 @@ def check_registry(root, violations):
                     "registrations would ship un-smoked" % marker))
 
 
+OPTIONS_HEADER = os.path.join("src", "backup", "options.h")
+OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+SystemOptions\s*\{")
+OPTIONS_ROW_RE = re.compile(r"&\s*SystemOptions\s*::\s*(\w+)")
+# Members that are deliberately not scenario-file option keys.
+OPTIONS_WITHOUT_ROW = ("num_peers",)
+
+
+def system_options_members(stripped, start):
+    """(name, line) of each data member of the struct whose body opens at
+    `start` (the index just past its '{'), skipping member functions."""
+    members = []
+    depth = 1
+    statement_start = body = start
+    i = start
+    while i < len(stripped) and depth > 0:
+        c = stripped[i]
+        if c == "{":
+            if depth == 1:
+                body = i
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            # A member function's body ends its declaration without a ';'.
+            if depth == 1 and "(" in stripped[statement_start:body]:
+                statement_start = i + 1
+        elif c == ";" and depth == 1:
+            declarator = re.split(r"[={]", stripped[statement_start:i])[0]
+            names = list(IDENT_RE.finditer(declarator))
+            if "(" not in declarator and names:
+                at = statement_start + names[-1].start()
+                members.append((names[-1].group(0),
+                                stripped.count("\n", 0, at) + 1))
+            statement_start = i + 1
+        i += 1
+    return members
+
+
+def check_options(root, violations):
+    path = os.path.join(root, OPTIONS_HEADER)
+    text = ""
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    stripped = strip_comments_and_strings(text)
+    struct = OPTIONS_STRUCT_RE.search(stripped)
+    if struct is None:
+        violations.append(Violation(
+            OPTIONS_HEADER, 1, "options",
+            "no 'struct SystemOptions {' found: point the option-table check "
+            "at the struct"))
+        return
+    rows = {}
+    for m in OPTIONS_ROW_RE.finditer(stripped):
+        rows[m.group(1)] = rows.get(m.group(1), 0) + 1
+    for name, line in system_options_members(stripped, struct.end()):
+        if name in OPTIONS_WITHOUT_ROW:
+            continue
+        count = rows.get(name, 0)
+        if count != 1:
+            violations.append(Violation(
+                OPTIONS_HEADER, line, "options",
+                "SystemOptions::%s is named by %d kOptionKeys rows, want "
+                "exactly 1 (scenario text, rendering and equality loop over "
+                "the table)" % (name, count)))
+
+
 def lint_file(root, path, violations):
     rel = os.path.relpath(path, root)
     with open(path, encoding="utf-8") as f:
@@ -403,6 +488,7 @@ def run(root):
             if name.endswith(SRC_EXTENSIONS):
                 lint_file(root, os.path.join(dirpath, name), violations)
     check_registry(root, violations)
+    check_options(root, violations)
     for v in sorted(violations, key=lambda v: (v.path, v.line, v.rule)):
         print(v)
     if violations:

@@ -2,8 +2,8 @@
 """Self-tests for scripts/detlint.py: every rule must both fire on a seeded
 violation and stay quiet on the compliant twin.
 
-Each case builds a throwaway repo tree (compliant registry sources,
-README.md and scripts/check.sh, plus or minus the case's own files) and
+Each case builds a throwaway repo tree (compliant registry sources, option
+header, README.md and scripts/check.sh, plus or minus the case's own files) and
 runs the linter in-process. The fixtures are the executable specification
 of the rules: a rule change that stops a seeded violation from firing - or
 starts flagging the compliant twin - fails here before it ever gates a real
@@ -32,6 +32,27 @@ CHECK_SH_ALL_LOOPS = (
     "./build/scenario_tool metrics --names\n")
 
 
+def options_header(members, rows):
+    """A src/backup/options.h with `members` (declarations) in the struct and
+    `rows` (member names) in the option table."""
+    return ("struct SystemOptions {\n"
+            "  uint32_t num_peers = 25'000;  // the top-level 'peers' key\n" +
+            "".join("  %s;\n" % m for m in members) +
+            "  util::Status Validate() const;\n"
+            "  bool HasK() const { return k > 0; }\n"
+            "  double pool_factor{3.0};\n"
+            "};\n"
+            "inline constexpr OptionKey kOptionKeys[] = {\n" +
+            "".join("    {\"options.%s\", &SystemOptions::%s},\n" % (r, r)
+                    for r in rows) +
+            "};\n")
+
+
+COMPLIANT_OPTIONS = options_header(
+    ["int k = 128", "std::string transfer_link = \"dsl-2009\""],
+    ["k", "transfer_link", "pool_factor"])
+
+
 def registry_tree(readme, check_sh=CHECK_SH_ALL_LOOPS):
     return {
         "src/scenario/registry.cc": (
@@ -43,6 +64,7 @@ def registry_tree(readme, check_sh=CHECK_SH_ALL_LOOPS):
         "src/metrics/registry.cc": (
             "Metric(\"repairs\", &ComputedProbes::repairs, \"ops\",\n"
             "       \"...\"),\n"),
+        "src/backup/options.h": COMPLIANT_OPTIONS,
         "README.md": readme,
         "scripts/check.sh": check_sh,
     }
@@ -120,6 +142,15 @@ class NondetRule(unittest.TestCase):
             "double partner_rand(int x);\n"
             "double v = obj.time(3);\n")})
         self.assertEqual(code, 0)
+
+    def test_digit_separator_does_not_hide_code(self):
+        # 25'000 is a number, not the start of a char literal that would
+        # blank every line up to the next quote.
+        code, out = run_on({"src/sim/a.cc": (
+            "int peers = 25'000;\n"
+            "std::random_device rd;\n")})
+        self.assertEqual(code, 1)
+        self.assertIn("a.cc:2: [nondet]", out)
 
 
 class UnorderedIterRule(unittest.TestCase):
@@ -256,6 +287,39 @@ class RegistryRule(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("src/core/strategy_registry.cc:1: [registry]", out)
         self.assertIn("yields no registered names", out)
+
+
+class OptionsRule(unittest.TestCase):
+    def test_member_without_a_row_fires(self):
+        code, out = run_on({"src/backup/options.h": options_header(
+            ["int k = 128", "bool quota_market = true",
+             "std::string transfer_link = \"dsl-2009\""],
+            ["k", "transfer_link", "pool_factor"])})
+        self.assertEqual(code, 1)
+        self.assertIn("src/backup/options.h:4: [options]", out)
+        self.assertIn("SystemOptions::quota_market is named by 0", out)
+
+    def test_member_after_a_function_body_without_a_row_fires(self):
+        # The inline HasK() body ends without a ';'; pool_factor after it is
+        # still a member, brace initializer and all.
+        code, out = run_on({"src/backup/options.h": options_header(
+            ["int k = 128", "std::string transfer_link = \"dsl-2009\""],
+            ["k", "transfer_link"])})
+        self.assertEqual(code, 1)
+        self.assertIn("src/backup/options.h:7: [options]", out)
+        self.assertIn("SystemOptions::pool_factor is named by 0", out)
+
+    def test_member_with_two_rows_fires(self):
+        code, out = run_on({"src/backup/options.h": options_header(
+            ["int k = 128", "std::string transfer_link = \"dsl-2009\""],
+            ["k", "transfer_link", "pool_factor", "k"])})
+        self.assertEqual(code, 1)
+        self.assertIn("SystemOptions::k is named by 2", out)
+
+    def test_missing_options_header_fires(self):
+        code, out = run_on({"src/backup/options.h": None})
+        self.assertEqual(code, 1)
+        self.assertIn("src/backup/options.h:1: [options]", out)
 
 
 class CleanTree(unittest.TestCase):

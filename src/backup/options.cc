@@ -101,24 +101,18 @@ util::Status SystemOptions::Validate() const {
   return util::Status::OK();
 }
 
+bool SameOption(const OptionKey& row, const SystemOptions& a,
+                const SystemOptions& b) {
+  return std::visit([&](auto member) { return a.*member == b.*member; },
+                    row.member);
+}
+
 bool operator==(const SystemOptions& a, const SystemOptions& b) {
-  return a.num_peers == b.num_peers && a.k == b.k && a.m == b.m &&
-         a.repair_threshold == b.repair_threshold &&
-         a.quota_blocks == b.quota_blocks && a.visibility == b.visibility &&
-         a.partner_timeout == b.partner_timeout &&
-         a.max_partner_factor == b.max_partner_factor &&
-         a.acceptance_horizon == b.acceptance_horizon &&
-         a.use_acceptance == b.use_acceptance && a.selection == b.selection &&
-         a.policy == b.policy && a.estimator == b.estimator &&
-         a.pool_factor == b.pool_factor &&
-         a.sample_attempt_factor == b.sample_attempt_factor &&
-         a.max_blocks_per_round == b.max_blocks_per_round &&
-         a.quota_market == b.quota_market &&
-         a.departure_grace == b.departure_grace &&
-         a.loss_rate_tau == b.loss_rate_tau &&
-         a.sample_interval == b.sample_interval &&
-         a.transfer_enabled == b.transfer_enabled &&
-         a.transfer_link == b.transfer_link;
+  if (a.num_peers != b.num_peers) return false;
+  for (const OptionKey& row : kOptionKeys) {
+    if (!SameOption(row, a, b)) return false;
+  }
+  return true;
 }
 
 const char* VisibilityModelName(VisibilityModel model) {

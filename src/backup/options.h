@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
 
 #include "core/strategy_spec.h"
 #include "sim/clock.h"
@@ -140,14 +141,62 @@ struct SystemOptions {
   util::Status Validate() const;
 };
 
-/// Field-wise equality (scenario text round-trips are verified with this).
+/// One scenario-file key and the SystemOptions member it sets. The member's
+/// type selects how scenario text parses and renders the value
+/// (scenario/text.cc).
+struct OptionKey {
+  const char* key;
+  std::variant<int SystemOptions::*, sim::Round SystemOptions::*,
+               double SystemOptions::*, bool SystemOptions::*,
+               VisibilityModel SystemOptions::*, std::string SystemOptions::*,
+               core::PolicySpec SystemOptions::*,
+               core::SelectionSpec SystemOptions::*,
+               core::EstimatorSpec SystemOptions::*>
+      member;
+};
+
+/// Every SystemOptions knob except num_peers (a scenario's top-level
+/// `peers` key), in canonical text order, each section's keys contiguous.
+/// Scenario text, its rendering and operator== all loop over this table, so
+/// a new knob is one row (detlint's [options] rule checks that every member
+/// has exactly one).
+inline constexpr OptionKey kOptionKeys[] = {
+    {"options.k", &SystemOptions::k},
+    {"options.m", &SystemOptions::m},
+    {"options.repair_threshold", &SystemOptions::repair_threshold},
+    {"options.quota_blocks", &SystemOptions::quota_blocks},
+    {"options.visibility", &SystemOptions::visibility},
+    {"options.partner_timeout", &SystemOptions::partner_timeout},
+    {"options.max_partner_factor", &SystemOptions::max_partner_factor},
+    {"options.acceptance_horizon", &SystemOptions::acceptance_horizon},
+    {"options.use_acceptance", &SystemOptions::use_acceptance},
+    {"options.selection", &SystemOptions::selection},
+    {"options.policy", &SystemOptions::policy},
+    {"options.estimator", &SystemOptions::estimator},
+    {"options.pool_factor", &SystemOptions::pool_factor},
+    {"options.sample_attempt_factor", &SystemOptions::sample_attempt_factor},
+    {"options.max_blocks_per_round", &SystemOptions::max_blocks_per_round},
+    {"options.quota_market", &SystemOptions::quota_market},
+    {"options.departure_grace", &SystemOptions::departure_grace},
+    {"options.loss_rate_tau", &SystemOptions::loss_rate_tau},
+    {"options.sample_interval", &SystemOptions::sample_interval},
+    {"transfer.enabled", &SystemOptions::transfer_enabled},
+    {"transfer.link", &SystemOptions::transfer_link},
+};
+
+/// Whether `a` and `b` hold the same value for the knob of `row`.
+bool SameOption(const OptionKey& row, const SystemOptions& a,
+                const SystemOptions& b);
+
+/// Equality of num_peers and every knob of kOptionKeys (scenario text
+/// round-trips are verified with this).
 bool operator==(const SystemOptions& a, const SystemOptions& b);
 inline bool operator!=(const SystemOptions& a, const SystemOptions& b) {
   return !(a == b);
 }
 
 /// Lowercase token of a visibility model ("instant", "timeout"); used by
-/// sweep coordinates and the scenario text format.
+/// the scenario text format.
 const char* VisibilityModelName(VisibilityModel model);
 
 /// Inverse of VisibilityModelName; errors on unknown tokens.

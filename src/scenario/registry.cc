@@ -128,10 +128,28 @@ void ApplyWorld(const Scenario& world, Scenario* dst) {
   dst->workload = world.workload;
 }
 
+util::Status OverrideScale(uint32_t peers, int64_t rounds, int64_t seed,
+                           Scenario* scenario) {
+  if (rounds < 0) {
+    return util::Status::InvalidArgument(
+        "--rounds must be >= 0 (0 keeps the scenario's), got " +
+        std::to_string(rounds));
+  }
+  if (seed < -1) {
+    return util::Status::InvalidArgument(
+        "--seed must be >= -1 (-1 keeps the scenario's), got " +
+        std::to_string(seed));
+  }
+  if (peers > 0) scenario->peers = peers;
+  if (rounds > 0) scenario->rounds = rounds;
+  if (seed >= 0) scenario->seed = static_cast<uint64_t>(seed);
+  return util::Status::OK();
+}
+
 void ScenarioFlags::Register(util::FlagSet* flags) {
   flags->String("scenario", &scenario_,
                 "simulated world: a registry name or a scenario file");
-  flags->Int64("peers", &peers_, "population size (0 = keep default)");
+  flags->UInt32("peers", &peers_, "population size (0 = keep default)");
   flags->Int64("rounds", &rounds_, "rounds to simulate (0 = keep default)");
   flags->Int64("seed", &seed_, "random seed (-1 = keep default)");
   flags->Bool("paper", &paper_, "full paper scale: 25000 peers, 50000 rounds");
@@ -158,10 +176,7 @@ util::Status ScenarioFlags::Apply(Scenario* scenario) const {
     scenario->peers = 25'000;
     scenario->rounds = 50'000;
   }
-  if (peers_ > 0) scenario->peers = static_cast<uint32_t>(peers_);
-  if (rounds_ > 0) scenario->rounds = rounds_;
-  if (seed_ >= 0) scenario->seed = static_cast<uint64_t>(seed_);
-  return util::Status::OK();
+  return OverrideScale(peers_, rounds_, seed_, scenario);
 }
 
 }  // namespace scenario

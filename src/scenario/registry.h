@@ -44,6 +44,12 @@ util::Result<Scenario> LoadScenario(const std::string& name_or_path);
 /// bench keeps its calibrated scale while swapping the simulated world.
 void ApplyWorld(const Scenario& world, Scenario* dst);
 
+/// Overrides the scale of `scenario` from command-line values: `peers` and
+/// `rounds` when positive, `seed` when not -1. Rejects negative rounds and
+/// seeds below -1 instead of ignoring them.
+util::Status OverrideScale(uint32_t peers, int64_t rounds, int64_t seed,
+                           Scenario* scenario);
+
 /// \brief The standard scenario/scale flags shared by benches and examples.
 ///
 /// Registers --scenario (name or file), --peers, --rounds, --seed, and
@@ -61,7 +67,7 @@ class ScenarioFlags {
 
  private:
   std::string scenario_;
-  int64_t peers_ = 0;   // 0 = keep base
+  uint32_t peers_ = 0;  // 0 = keep base
   int64_t rounds_ = 0;  // 0 = keep base
   int64_t seed_ = -1;   // -1 = keep base
   bool paper_ = false;  // full paper scale: 25,000 peers, 50,000 rounds

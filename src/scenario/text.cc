@@ -1,11 +1,13 @@
 #include "scenario/text.h"
 
+#include <algorithm>
 #include <climits>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <type_traits>
+#include <variant>
 
 #include "scenario/parse.h"
 
@@ -135,6 +137,70 @@ std::string RenderSessions(const ProfileSpec& profile) {
   return std::string("diurnal(") + RenderDuration(profile.session_cycle) + ")";
 }
 
+// The scenario-file key of a knob, or null.
+const backup::OptionKey* FindOption(const std::string& key) {
+  for (const backup::OptionKey& option : backup::kOptionKeys) {
+    if (key == option.key) return &option;
+  }
+  return nullptr;
+}
+
+// The part of a knob's key before its first '.'.
+std::string Section(const backup::OptionKey& option) {
+  const std::string key = option.key;
+  return key.substr(0, key.find('.'));
+}
+
+// Parses an option value with the lexer of its member's type. Number errors
+// name the key's field, the part after its section; a link name is checked
+// by Scenario::Validate.
+template <typename T>
+util::Status ParseOption(const std::string& key, const std::string& value,
+                         T* out) {
+  const std::string field = key.substr(key.find('.') + 1);
+  if constexpr (std::is_same_v<T, int>) {
+    P2P_ASSIGN_OR_RETURN(const int64_t v, ParseInt(value, field));
+    if (v < INT_MIN || v > INT_MAX) {
+      return util::Status::InvalidArgument(key + " out of int range: '" +
+                                           value + "'");
+    }
+    *out = static_cast<int>(v);
+  } else if constexpr (std::is_same_v<T, sim::Round>) {
+    P2P_ASSIGN_OR_RETURN(*out, ParseDuration(value));
+  } else if constexpr (std::is_same_v<T, double>) {
+    P2P_ASSIGN_OR_RETURN(*out, ParseDouble(value, field));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    P2P_ASSIGN_OR_RETURN(*out, ParseBool(value));
+  } else if constexpr (std::is_same_v<T, backup::VisibilityModel>) {
+    P2P_ASSIGN_OR_RETURN(*out, backup::VisibilityModelFromName(value));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    *out = value;
+  } else {
+    P2P_ASSIGN_OR_RETURN(*out, T::Parse(value));  // a strategy spec
+  }
+  return util::Status::OK();
+}
+
+// Renders an option value; the exact inverse of ParseOption.
+template <typename T>
+std::string RenderOption(const T& v) {
+  if constexpr (std::is_same_v<T, int>) {
+    return std::to_string(v);
+  } else if constexpr (std::is_same_v<T, sim::Round>) {
+    return RenderDuration(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return RenderDouble(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return RenderBool(v);
+  } else if constexpr (std::is_same_v<T, backup::VisibilityModel>) {
+    return backup::VisibilityModelName(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else {
+    return v.ToString();  // a strategy spec
+  }
+}
+
 // One `section.<index>.<field>` key split into its parts.
 struct IndexedKey {
   int index = 0;
@@ -149,10 +215,14 @@ util::Result<IndexedKey> SplitIndexed(const std::string& rest,
                                          " keys look like: " + section +
                                          ".<index>.<field>");
   }
-  auto index = ParseInt(rest.substr(0, dot), section + " index");
-  if (!index.ok() || *index < 0 || *index > 4096) {
+  // Only the canonical spelling: "00" or "+0" would name index 0 under a
+  // key the duplicate check has not seen.
+  const std::string token = rest.substr(0, dot);
+  auto index = ParseInt(token, section + " index");
+  if (!index.ok() || *index < 0 || *index > 4096 ||
+      std::to_string(*index) != token) {
     return util::Status::InvalidArgument("bad " + section + " index '" +
-                                         rest.substr(0, dot) + "'");
+                                         token + "'");
   }
   IndexedKey out;
   out.index = static_cast<int>(*index);
@@ -238,93 +308,17 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
       } else {
         st = v.status();
       }
+    } else if (const backup::OptionKey* option = FindOption(key)) {
+      st = std::visit(
+          [&](auto member) {
+            return ParseOption(key, value, &(scenario.options.*member));
+          },
+          option->member);
     } else if (key.rfind("options.", 0) == 0) {
       const std::string field = key.substr(8);
-      backup::SystemOptions& o = scenario.options;
-      auto set_int = [&](int* dst) {
-        auto v = ParseInt(value, field);
-        if (!v.ok()) return v.status();
-        if (*v < INT_MIN || *v > INT_MAX) {
-          return util::Status::InvalidArgument(key + " out of int range: '" +
-                                               value + "'");
-        }
-        *dst = static_cast<int>(*v);
-        return util::Status::OK();
-      };
-      auto set_round = [&](sim::Round* dst) {
-        auto v = ParseDuration(value);
-        if (!v.ok()) return v.status();
-        *dst = *v;
-        return util::Status::OK();
-      };
-      auto set_double = [&](double* dst) {
-        auto v = ParseDouble(value, field);
-        if (!v.ok()) return v.status();
-        *dst = *v;
-        return util::Status::OK();
-      };
-      auto set_bool = [&](bool* dst) {
-        auto v = ParseBool(value);
-        if (!v.ok()) return v.status();
-        *dst = *v;
-        return util::Status::OK();
-      };
-      auto set_spec = [&](auto* dst) {
-        auto v = std::remove_pointer_t<decltype(dst)>::Parse(value);
-        if (!v.ok()) return v.status();
-        *dst = *v;
-        return util::Status::OK();
-      };
-      if (field == "k") {
-        st = set_int(&o.k);
-      } else if (field == "m") {
-        st = set_int(&o.m);
-      } else if (field == "repair_threshold") {
-        st = set_int(&o.repair_threshold);
-      } else if (field == "quota_blocks") {
-        st = set_int(&o.quota_blocks);
-      } else if (field == "visibility") {
-        auto v = backup::VisibilityModelFromName(value);
-        if (v.ok()) o.visibility = *v; else st = v.status();
-      } else if (field == "partner_timeout") {
-        st = set_round(&o.partner_timeout);
-      } else if (field == "max_partner_factor") {
-        st = set_double(&o.max_partner_factor);
-      } else if (field == "acceptance_horizon") {
-        st = set_round(&o.acceptance_horizon);
-      } else if (field == "use_acceptance") {
-        st = set_bool(&o.use_acceptance);
-      } else if (field == "selection") {
-        st = set_spec(&o.selection);
-      } else if (field == "policy") {
-        st = set_spec(&o.policy);
-      } else if (field == "estimator") {
-        st = set_spec(&o.estimator);
-      } else if (field == "pool_factor") {
-        st = set_double(&o.pool_factor);
-      } else if (field == "sample_attempt_factor") {
-        st = set_int(&o.sample_attempt_factor);
-      } else if (field == "max_blocks_per_round") {
-        st = set_int(&o.max_blocks_per_round);
-      } else if (field == "quota_market") {
-        st = set_bool(&o.quota_market);
-      } else if (field == "departure_grace") {
-        st = set_round(&o.departure_grace);
-      } else if (field == "loss_rate_tau") {
-        st = set_round(&o.loss_rate_tau);
-      } else if (field == "sample_interval") {
-        st = set_round(&o.sample_interval);
-      } else if (field == "num_peers") {
-        st = util::Status::InvalidArgument(
-            "population size is the top-level 'peers' key");
-      } else {
-        st = util::Status::InvalidArgument("unknown option '" + field + "'");
-      }
-    } else if (key == "transfer.enabled") {
-      auto v = ParseBool(value);
-      if (v.ok()) scenario.options.transfer_enabled = *v; else st = v.status();
-    } else if (key == "transfer.link") {
-      scenario.options.transfer_link = value;
+      st = util::Status::InvalidArgument(
+          field == "num_peers" ? "population size is the top-level 'peers' key"
+                               : "unknown option '" + field + "'");
     } else if (key.rfind("profile.", 0) == 0) {
       auto ik = SplitIndexed(key.substr(8), "profile");
       if (!ik.ok()) {
@@ -451,41 +445,28 @@ std::string RenderScenarioText(const Scenario& scenario) {
   os << "peers = " << scenario.peers << "\n";
   os << "rounds = " << RenderDuration(scenario.rounds) << "\n";
   os << "seed = " << scenario.seed << "\n";
-  os << "\n";
 
+  // One block per key section. The options block is always written, a
+  // later section only when one of its knobs differs from SystemOptions{}:
+  // the canonical form of a scenario without transfers has no transfer keys.
   const backup::SystemOptions& o = scenario.options;
-  os << "options.k = " << o.k << "\n";
-  os << "options.m = " << o.m << "\n";
-  os << "options.repair_threshold = " << o.repair_threshold << "\n";
-  os << "options.quota_blocks = " << o.quota_blocks << "\n";
-  os << "options.visibility = " << backup::VisibilityModelName(o.visibility)
-     << "\n";
-  os << "options.partner_timeout = " << RenderDuration(o.partner_timeout)
-     << "\n";
-  os << "options.max_partner_factor = " << RenderDouble(o.max_partner_factor)
-     << "\n";
-  os << "options.acceptance_horizon = " << RenderDuration(o.acceptance_horizon)
-     << "\n";
-  os << "options.use_acceptance = " << RenderBool(o.use_acceptance) << "\n";
-  os << "options.selection = " << o.selection.ToString() << "\n";
-  os << "options.policy = " << o.policy.ToString() << "\n";
-  os << "options.estimator = " << o.estimator.ToString() << "\n";
-  os << "options.pool_factor = " << RenderDouble(o.pool_factor) << "\n";
-  os << "options.sample_attempt_factor = " << o.sample_attempt_factor << "\n";
-  os << "options.max_blocks_per_round = " << o.max_blocks_per_round << "\n";
-  os << "options.quota_market = " << RenderBool(o.quota_market) << "\n";
-  os << "options.departure_grace = " << RenderDuration(o.departure_grace)
-     << "\n";
-  os << "options.loss_rate_tau = " << RenderDuration(o.loss_rate_tau) << "\n";
-  os << "options.sample_interval = " << RenderDuration(o.sample_interval)
-     << "\n";
-
-  // Transfer scheduling: emitted when non-default, so the canonical form of
-  // an instant-mode scenario is byte-identical to the pre-transfer format.
-  if (o.transfer_enabled || o.transfer_link != "dsl-2009") {
+  const backup::SystemOptions defaults;
+  const auto& keys = backup::kOptionKeys;
+  for (size_t begin = 0, end = 0; begin < std::size(keys); begin = end) {
+    const std::string section = Section(keys[begin]);
+    while (end < std::size(keys) && Section(keys[end]) == section) ++end;
+    const bool differs = std::any_of(
+        keys + begin, keys + end, [&](const backup::OptionKey& option) {
+          return !backup::SameOption(option, o, defaults);
+        });
+    if (section != "options" && !differs) continue;
     os << "\n";
-    os << "transfer.enabled = " << RenderBool(o.transfer_enabled) << "\n";
-    os << "transfer.link = " << o.transfer_link << "\n";
+    for (size_t i = begin; i < end; ++i) {
+      os << keys[i].key << " = "
+         << std::visit([&](auto member) { return RenderOption(o.*member); },
+                       keys[i].member)
+         << "\n";
+    }
   }
 
   // Metric selection (reports only): emitted when non-default, like a

@@ -1,5 +1,10 @@
 #include "sweep/spec.h"
 
+#include <algorithm>
+#include <functional>
+
+#include "backup/options.h"
+#include "core/strategy_spec.h"
 #include "metrics/registry.h"
 #include "util/rng.h"
 
@@ -20,83 +25,115 @@ std::string JoinCoords(
   return out;
 }
 
-// Resolves the named-scenario axis to full scenarios, in axis order.
-util::Result<std::vector<Scenario>> ResolveWorlds(
-    const std::vector<std::string>& names) {
-  std::vector<Scenario> worlds;
-  worlds.reserve(names.size());
-  for (const std::string& name : names) {
-    util::Result<Scenario> world = scenario::LoadScenario(name);
-    if (!world.ok()) {
-      return util::Status::InvalidArgument("scenario axis: " +
-                                           world.status().message());
-    }
-    worlds.push_back(std::move(*world));
-  }
-  return worlds;
+// Writes value `i` of one axis into a cell's scenario and returns the cell's
+// coordinate on that axis.
+using ApplyValue = std::function<std::string(size_t i, Scenario* cell)>;
+
+// Parses an axis's values once per expansion (strategy specs, scenario
+// files); fails with an error naming the axis and the token.
+using Resolve = std::function<util::Result<ApplyValue>()>;
+
+// One active axis of the grid: its coordinate token, its number of values,
+// and how they resolve.
+struct Axis {
+  const char* token;
+  size_t size;
+  Resolve resolve;
+};
+
+// An axis whose values need no parsing: `set` writes one and returns its
+// coordinate.
+template <typename T, typename Set>
+Resolve Plain(const std::vector<T>& values, Set set) {
+  return [&values, set]() -> util::Result<ApplyValue> {
+    return ApplyValue([&values, set](size_t i, Scenario* cell) {
+      return set(values[i], cell);
+    });
+  };
 }
 
-// Resolves a strategy axis to parsed specs; errors name the axis and token.
+// A strategy axis: each token parsed into the spec `member` of the options.
 template <typename Strategy>
-util::Result<std::vector<core::StrategySpec<Strategy>>> ResolveSpecAxis(
-    const std::vector<std::string>& tokens) {
-  std::vector<core::StrategySpec<Strategy>> specs;
-  specs.reserve(tokens.size());
-  for (const std::string& token : tokens) {
-    auto parsed = core::StrategySpec<Strategy>::Parse(token);
-    if (!parsed.ok()) {
-      return util::Status::InvalidArgument(
-          std::string(core::StrategyTraits<Strategy>::kLabel) +
-          " axis: " + parsed.status().message());
+Resolve SpecAxis(const std::vector<std::string>& tokens,
+                 core::StrategySpec<Strategy> backup::SystemOptions::*member) {
+  return [&tokens, member]() -> util::Result<ApplyValue> {
+    std::vector<core::StrategySpec<Strategy>> specs;
+    specs.reserve(tokens.size());
+    for (const std::string& token : tokens) {
+      auto parsed = core::StrategySpec<Strategy>::Parse(token);
+      if (!parsed.ok()) {
+        return util::Status::InvalidArgument(
+            std::string(core::StrategyTraits<Strategy>::kLabel) +
+            " axis: " + parsed.status().message());
+      }
+      specs.push_back(std::move(*parsed));
     }
-    specs.push_back(std::move(*parsed));
-  }
-  return specs;
+    return ApplyValue([specs = std::move(specs), member](size_t i,
+                                                         Scenario* cell) {
+      cell->options.*member = specs[i];
+      return specs[i].ToString();
+    });
+  };
 }
 
-// Everything Validate() checks, given the already-resolved scenario axis
-// (shared with Expand() so the axis is resolved - and any files parsed -
-// exactly once per expansion).
-util::Status ValidateResolved(const SweepSpec& spec,
-                              const std::vector<Scenario>& worlds) {
-  if (spec.replicates < 1) {
-    return util::Status::InvalidArgument("replicates must be >= 1, got " +
-                                         std::to_string(spec.replicates));
-  }
-  if (auto selection = metrics::ResolveMetricSelection(spec.metrics);
-      !selection.ok()) {
-    return util::Status::InvalidArgument("metrics list: " +
-                                         selection.status().message());
-  }
-  P2P_RETURN_IF_ERROR(spec.base.Validate());
-  // Every resolved cell must carry valid system options. RunScenario copies
-  // scenario.peers over options.num_peers, so validate with that population.
-  backup::SystemOptions opts = spec.base.options;
-  opts.num_peers = spec.base.peers;
-  for (int t : spec.repair_thresholds) {
-    backup::SystemOptions cell = opts;
-    cell.repair_threshold = t;
-    P2P_RETURN_IF_ERROR(cell.Validate());
-  }
-  for (int q : spec.quotas) {
-    backup::SystemOptions cell = opts;
-    cell.quota_blocks = q;
-    P2P_RETURN_IF_ERROR(cell.Validate());
-  }
-  for (const std::string& link : spec.links) {
-    backup::SystemOptions cell = opts;
-    cell.transfer_enabled = true;
-    cell.transfer_link = link;
-    P2P_RETURN_IF_ERROR(cell.Validate());
-  }
-  // Each world's workload must be feasible at the base scale (the axis
-  // swaps populations/workloads but keeps base.peers).
-  for (const Scenario& world : worlds) {
-    Scenario resolved = spec.base;
-    scenario::ApplyWorld(world, &resolved);
-    P2P_RETURN_IF_ERROR(resolved.Validate());
-  }
-  return util::Status::OK();
+// The named-scenario axis: each name or file resolved to the world a cell
+// takes (population + workload), keeping the base scale and options.
+Resolve WorldAxis(const std::vector<std::string>& names) {
+  return [&names]() -> util::Result<ApplyValue> {
+    std::vector<Scenario> worlds;
+    worlds.reserve(names.size());
+    for (const std::string& name : names) {
+      util::Result<Scenario> world = scenario::LoadScenario(name);
+      if (!world.ok()) {
+        return util::Status::InvalidArgument("scenario axis: " +
+                                             world.status().message());
+      }
+      worlds.push_back(std::move(*world));
+    }
+    return ApplyValue([worlds = std::move(worlds)](size_t i, Scenario* cell) {
+      scenario::ApplyWorld(worlds[i], cell);
+      return cell->name;
+    });
+  };
+}
+
+// The non-empty axes of `spec`, in expansion order (the first outermost).
+// A new axis is one row here.
+std::vector<Axis> ActiveAxisList(const SweepSpec& spec) {
+  using backup::SystemOptions;
+  std::vector<Axis> axes = {
+      {"threshold", spec.repair_thresholds.size(),
+       Plain(spec.repair_thresholds,
+             [](int threshold, Scenario* cell) {
+               cell->options.repair_threshold = threshold;
+               return std::to_string(threshold);
+             })},
+      {"quota", spec.quotas.size(),
+       Plain(spec.quotas,
+             [](int quota, Scenario* cell) {
+               cell->options.quota_blocks = quota;
+               return std::to_string(quota);
+             })},
+      {"policy", spec.policies.size(),
+       SpecAxis(spec.policies, &SystemOptions::policy)},
+      {"selection", spec.selections.size(),
+       SpecAxis(spec.selections, &SystemOptions::selection)},
+      {"estimator", spec.estimators.size(),
+       SpecAxis(spec.estimators, &SystemOptions::estimator)},
+      {"scenario", spec.scenarios.size(), WorldAxis(spec.scenarios)},
+      // A link cell runs the transfer scheduler on that link.
+      {"link", spec.links.size(),
+       Plain(spec.links,
+             [](const std::string& link, Scenario* cell) {
+               cell->options.transfer_enabled = true;
+               cell->options.transfer_link = link;
+               return link;
+             })},
+  };
+  axes.erase(std::remove_if(axes.begin(), axes.end(),
+                            [](const Axis& axis) { return axis.size == 0; }),
+             axes.end());
+  return axes;
 }
 
 }  // namespace
@@ -110,24 +147,12 @@ uint64_t ReplicateSeed(uint64_t base_seed, uint64_t replicate) {
 
 std::string Cell::Label() const { return JoinCoords(coords); }
 
-util::Status SweepSpec::Validate() const {
-  util::Result<std::vector<Scenario>> worlds = ResolveWorlds(scenarios);
-  if (!worlds.ok()) return worlds.status();
-  P2P_RETURN_IF_ERROR(
-      ResolveSpecAxis<core::MaintenancePolicy>(policies).status());
-  P2P_RETURN_IF_ERROR(
-      ResolveSpecAxis<core::SelectionStrategy>(selections).status());
-  P2P_RETURN_IF_ERROR(
-      ResolveSpecAxis<core::LifetimeEstimator>(estimators).status());
-  return ValidateResolved(*this, *worlds);
-}
+util::Status SweepSpec::Validate() const { return Expand().status(); }
 
 size_t SweepSpec::GroupCount() const {
-  auto dim = [](size_t n) { return n == 0 ? size_t{1} : n; };
-  return dim(repair_thresholds.size()) * dim(quotas.size()) *
-         dim(policies.size()) * dim(selections.size()) *
-         dim(estimators.size()) * dim(scenarios.size()) *
-         dim(visibilities.size()) * dim(links.size());
+  size_t groups = 1;
+  for (const Axis& axis : ActiveAxisList(*this)) groups *= axis.size;
+  return groups;
 }
 
 size_t SweepSpec::CellCount() const {
@@ -135,133 +160,63 @@ size_t SweepSpec::CellCount() const {
 }
 
 std::vector<std::string> SweepSpec::ActiveAxes() const {
-  std::vector<std::string> axes;
-  if (!repair_thresholds.empty()) axes.push_back("threshold");
-  if (!quotas.empty()) axes.push_back("quota");
-  if (!policies.empty()) axes.push_back("policy");
-  if (!selections.empty()) axes.push_back("selection");
-  if (!estimators.empty()) axes.push_back("estimator");
-  if (!scenarios.empty()) axes.push_back("scenario");
-  if (!visibilities.empty()) axes.push_back("visibility");
-  if (!links.empty()) axes.push_back("link");
-  if (replicates > 1) axes.push_back("rep");
-  return axes;
+  const std::vector<Axis> axes = ActiveAxisList(*this);
+  std::vector<std::string> tokens;
+  tokens.reserve(axes.size() + 1);
+  for (const Axis& axis : axes) tokens.push_back(axis.token);
+  if (replicates > 1) tokens.push_back("rep");
+  return tokens;
 }
 
 util::Result<std::vector<Cell>> SweepSpec::Expand() const {
-  P2P_ASSIGN_OR_RETURN(const std::vector<Scenario> worlds,
-                       ResolveWorlds(scenarios));
-  P2P_ASSIGN_OR_RETURN(const std::vector<core::PolicySpec> policy_specs,
-                       ResolveSpecAxis<core::MaintenancePolicy>(policies));
-  P2P_ASSIGN_OR_RETURN(const std::vector<core::SelectionSpec> selection_specs,
-                       ResolveSpecAxis<core::SelectionStrategy>(selections));
-  P2P_ASSIGN_OR_RETURN(const std::vector<core::EstimatorSpec> estimator_specs,
-                       ResolveSpecAxis<core::LifetimeEstimator>(estimators));
-  P2P_RETURN_IF_ERROR(ValidateResolved(*this, worlds));
+  const std::vector<Axis> axes = ActiveAxisList(*this);
+  std::vector<ApplyValue> apply;
+  apply.reserve(axes.size());
+  for (const Axis& axis : axes) {
+    P2P_ASSIGN_OR_RETURN(ApplyValue a, axis.resolve());
+    apply.push_back(std::move(a));
+  }
+  if (replicates < 1) {
+    return util::Status::InvalidArgument("replicates must be >= 1, got " +
+                                         std::to_string(replicates));
+  }
+  if (auto selection = metrics::ResolveMetricSelection(metrics);
+      !selection.ok()) {
+    return util::Status::InvalidArgument("metrics list: " +
+                                         selection.status().message());
+  }
+  P2P_RETURN_IF_ERROR(base.Validate());
 
+  const size_t groups = GroupCount();
   std::vector<Cell> cells;
   cells.reserve(CellCount());
-
-  // Row-major nesting, replicates innermost. Each axis loop runs once with a
-  // sentinel index of -1 when the axis is inactive (keep the base value).
-  auto indices = [](size_t n) {
-    std::vector<int> ix;
-    if (n == 0) {
-      ix.push_back(-1);
-    } else {
-      for (size_t i = 0; i < n; ++i) ix.push_back(static_cast<int>(i));
+  for (size_t group = 0; group < groups; ++group) {
+    // `group` in mixed radix over the axis sizes, the last axis fastest.
+    Scenario resolved = base;
+    std::vector<std::pair<std::string, std::string>> coords;
+    size_t stride = groups;
+    for (size_t a = 0; a < axes.size(); ++a) {
+      stride /= axes[a].size;
+      coords.emplace_back(axes[a].token,
+                          apply[a]((group / stride) % axes[a].size, &resolved));
     }
-    return ix;
-  };
-
-  size_t group = 0;
-  for (int ti : indices(repair_thresholds.size())) {
-    for (int qi : indices(quotas.size())) {
-      for (int pi : indices(policies.size())) {
-        for (int si : indices(selections.size())) {
-          for (int ei : indices(estimators.size())) {
-            for (int wi : indices(worlds.size())) {
-              for (int vi : indices(visibilities.size())) {
-                Scenario resolved = base;
-                std::vector<std::pair<std::string, std::string>> coords;
-                if (ti >= 0) {
-                  resolved.options.repair_threshold =
-                      repair_thresholds[static_cast<size_t>(ti)];
-                  coords.emplace_back(
-                      "threshold",
-                      std::to_string(resolved.options.repair_threshold));
-                }
-                if (qi >= 0) {
-                  resolved.options.quota_blocks =
-                      quotas[static_cast<size_t>(qi)];
-                  coords.emplace_back(
-                      "quota", std::to_string(resolved.options.quota_blocks));
-                }
-                if (pi >= 0) {
-                  resolved.options.policy =
-                      policy_specs[static_cast<size_t>(pi)];
-                  coords.emplace_back("policy",
-                                      resolved.options.policy.ToString());
-                }
-                if (si >= 0) {
-                  resolved.options.selection =
-                      selection_specs[static_cast<size_t>(si)];
-                  coords.emplace_back("selection",
-                                      resolved.options.selection.ToString());
-                }
-                if (ei >= 0) {
-                  resolved.options.estimator =
-                      estimator_specs[static_cast<size_t>(ei)];
-                  coords.emplace_back("estimator",
-                                      resolved.options.estimator.ToString());
-                }
-                if (wi >= 0) {
-                  scenario::ApplyWorld(worlds[static_cast<size_t>(wi)],
-                                       &resolved);
-                  coords.emplace_back("scenario", resolved.name);
-                }
-                if (vi >= 0) {
-                  resolved.options.visibility =
-                      visibilities[static_cast<size_t>(vi)];
-                  coords.emplace_back(
-                      "visibility",
-                      backup::VisibilityModelName(resolved.options.visibility));
-                }
-                for (int li : indices(links.size())) {
-                  Scenario linked = resolved;
-                  std::vector<std::pair<std::string, std::string>> lcoords =
-                      coords;
-                  if (li >= 0) {
-                    linked.options.transfer_enabled = true;
-                    linked.options.transfer_link =
-                        links[static_cast<size_t>(li)];
-                    lcoords.emplace_back("link", linked.options.transfer_link);
-                  }
-                  // The sweep-level metric selection (when set) rides on
-                  // every cell's scenario, so a cell re-run in isolation
-                  // reports the same columns the sweep did.
-                  if (!metrics.empty()) linked.metrics = metrics;
-                  for (int rep = 0; rep < replicates; ++rep) {
-                    Cell cell;
-                    cell.index = cells.size();
-                    cell.group = group;
-                    cell.replicate = static_cast<size_t>(rep);
-                    cell.scenario = linked;
-                    cell.scenario.seed = ReplicateSeed(
-                        base.seed, static_cast<uint64_t>(rep));
-                    cell.coords = lcoords;
-                    if (replicates > 1) {
-                      cell.coords.emplace_back("rep", std::to_string(rep));
-                    }
-                    cells.push_back(std::move(cell));
-                  }
-                  ++group;
-                }
-              }
-            }
-          }
-        }
+    // The sweep-level metric selection (when set) rides on every cell's
+    // scenario, so a cell re-run in isolation reports the same columns the
+    // sweep did.
+    if (!metrics.empty()) resolved.metrics = metrics;
+    P2P_RETURN_IF_ERROR(resolved.Validate());
+    for (int rep = 0; rep < replicates; ++rep) {
+      Cell cell;
+      cell.index = cells.size();
+      cell.group = group;
+      cell.replicate = static_cast<size_t>(rep);
+      cell.scenario = resolved;
+      cell.scenario.seed = ReplicateSeed(base.seed, static_cast<uint64_t>(rep));
+      cell.coords = coords;
+      if (replicates > 1) {
+        cell.coords.emplace_back("rep", std::to_string(rep));
       }
+      cells.push_back(std::move(cell));
     }
   }
   return cells;

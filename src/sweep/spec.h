@@ -26,8 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "backup/options.h"
-#include "core/strategy_spec.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 #include "util/result.h"
@@ -86,7 +84,6 @@ struct SweepSpec {
   /// keeping the base scale and options (common random numbers across the
   /// axis). The generalization of the old three-value ProfileMix axis.
   std::vector<std::string> scenarios;
-  std::vector<backup::VisibilityModel> visibilities;
   /// Link-profile axis: each value is a registered link name (transfer/
   /// link.h: "dsl-2009", "dsl-modern", "ftth"). A cell on this axis runs
   /// with the transfer scheduler ENABLED on that link; cells share the seed
@@ -101,9 +98,10 @@ struct SweepSpec {
   /// historical emitter layout, locked byte-for-byte by the sweep goldens).
   std::vector<std::string> metrics;
 
-  /// Rejects empty grids (replicates < 1), unresolvable scenario names,
-  /// unknown or duplicate metric names, and any cell whose resolved
-  /// SystemOptions fail SystemOptions::Validate().
+  /// Rejects empty grids (replicates < 1), unresolvable scenario names and
+  /// strategy specs, unknown or duplicate metric names, and any cell whose
+  /// resolved scenario fails Scenario::Validate() (its SystemOptions
+  /// included). Exactly the errors of Expand().
   util::Status Validate() const;
 
   /// Number of grid points ignoring the replicate axis.

@@ -124,17 +124,24 @@ TEST(FlagSetTest, PositionalCollectionPreservesOrder) {
 }
 
 TEST(FlagSetTest, TypedRangeChecks) {
-  int small = 0;
-  FlagSet flags;
-  flags.Int32("small", &small, "an int32");
-  Argv argv({"--small=4294967296"});
-  EXPECT_TRUE(flags.Parse(argv.argc(), argv.argv()).IsOutOfRange());
+  // 4294967298 is the --replicates value a narrowing cast read as 2.
+  for (const char* arg : {"--small=4294967296", "--small=4294967298"}) {
+    int small = 0;
+    FlagSet flags;
+    flags.Int32("small", &small, "an int32");
+    Argv argv({arg});
+    EXPECT_TRUE(flags.Parse(argv.argc(), argv.argv()).IsOutOfRange()) << arg;
+  }
 
-  uint32_t u = 0;
-  FlagSet flags2;
-  flags2.UInt32("u", &u, "a uint32");
-  Argv argv2({"--u=-1"});
-  EXPECT_TRUE(flags2.Parse(argv2.argc(), argv2.argv()).IsOutOfRange());
+  // 4294967396 is the --peers value a narrowing cast read as 100.
+  for (const char* arg : {"--u=-1", "--u=-5", "--u=4294967396"}) {
+    uint32_t u = 0;
+    FlagSet flags2;
+    flags2.UInt32("u", &u, "a uint32");
+    Argv argv2({arg});
+    EXPECT_TRUE(flags2.Parse(argv2.argc(), argv2.argv()).IsOutOfRange())
+        << arg;
+  }
 
   double d = 0.0;
   FlagSet flags3;

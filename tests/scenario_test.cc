@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -26,6 +27,7 @@
 #include "sweep/runner.h"
 #include "sweep/spec.h"
 #include "util/flags.h"
+#include "util/rng.h"
 
 namespace p2p {
 namespace scenario {
@@ -420,6 +422,24 @@ TEST(TextTest, ErrorsNameLineAndToken) {
               std::string::npos)
         << message;
   }
+
+  // Section indices are canonical decimals: another spelling of index 0
+  // would slip past the duplicate-key check and overwrite profile 0.
+  const std::string profile0 =
+      "name = x\nprofile.0.name = a\nprofile.0.proportion = 1\n"
+      "profile.0.availability = 0.5\nprofile.0.lifetime = unlimited\n";
+  for (const std::string line : {"profile.00.availability = 0.9",
+                                  "profile.+0.name = b"}) {
+    SCOPED_TRACE(line);
+    bad = ParseScenarioText(profile0 + line + "\n");
+    EXPECT_TRUE(bad.status().IsInvalidArgument());
+    const std::string& message = bad.status().message();
+    EXPECT_NE(message.find("line 6"), std::string::npos) << message;
+    EXPECT_NE(message.find("bad profile index '" +
+                           line.substr(8, line.find('.', 8) - 8) + "'"),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(TextTest, ParameterizedStrategySpecsRoundTrip) {
@@ -514,6 +534,127 @@ TEST(TextTest, GoldenParameterizedStrategiesFile) {
   EXPECT_GT(out.report.Count("repairs"), 0);
 }
 
+// One random edit of scenario text: delete, insert, replace or duplicate a
+// character, or delete, duplicate or swap a line.
+std::string MutateScenarioText(std::string text, util::Rng* rng) {
+  static const std::string kAlphabet =
+      "=.#,(){}-+_ \t\n0123456789abcdefhilmnoprstuwxy";
+  const auto pick = [&](size_t bound) {
+    return static_cast<size_t>(rng->UniformBounded(bound));
+  };
+  // [begin, end) of the line holding text[at], newline included.
+  const auto line_at = [&](size_t at) {
+    const size_t before =
+        at == 0 ? std::string::npos : text.rfind('\n', at - 1);
+    const size_t after = text.find('\n', at);
+    return std::make_pair(before == std::string::npos ? 0 : before + 1,
+                          after == std::string::npos ? text.size() : after + 1);
+  };
+  if (text.empty()) return std::string(1, kAlphabet[pick(kAlphabet.size())]);
+  const size_t at = pick(text.size());
+  const char c = kAlphabet[pick(kAlphabet.size())];
+  switch (rng->UniformBounded(7)) {
+    case 0:
+      text.erase(at, 1);
+      break;
+    case 1:
+      text.insert(pick(text.size() + 1), 1, c);
+      break;
+    case 2:
+      text[at] = c;
+      break;
+    case 3:
+      text.insert(at, 1, text[at]);
+      break;
+    case 4: {
+      const auto [begin, end] = line_at(at);
+      text.erase(begin, end - begin);
+      break;
+    }
+    case 5: {
+      const auto [begin, end] = line_at(at);
+      text.insert(begin, text.substr(begin, end - begin));
+      break;
+    }
+    default: {  // swap the line with the next one
+      const auto [begin, end] = line_at(at);
+      if (end >= text.size()) break;
+      const size_t next_end = line_at(end).second;
+      text = text.substr(0, begin) + text.substr(end, next_end - end) +
+             text.substr(begin, end - begin) + text.substr(next_end);
+      break;
+    }
+  }
+  return text;
+}
+
+// FNV-1a of `text`: each base text seeds its own mutant stream, so adding a
+// registry scenario or a golden file leaves the other bases' mutants alone.
+uint64_t TextHash(const std::string& text) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) hash = (hash ^ c) * 0x100000001b3ull;
+  return hash;
+}
+
+TEST(TextTest, SeededMutationsGiveNamedErrorsOrExactRoundTrips) {
+  // Every registry scenario's canonical text and every checked-in scenario
+  // file (sorted, so the set does not depend on directory order).
+  std::vector<std::string> bases;
+  for (const std::string& name : RegistryNames()) {
+    auto scenario = FindScenario(name);
+    ASSERT_TRUE(scenario.ok());
+    bases.push_back(RenderScenarioText(*scenario));
+  }
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(P2P_SOURCE_DIR) + "/tests/golden")) {
+    if (entry.path().extension() == ".scenario") {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const std::string& path : files) {
+    std::ifstream in(path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    bases.push_back(buffer.str());
+  }
+
+  constexpr int kMutantsPerText = 256;
+  int64_t parsed = 0, rejected = 0;
+  for (const std::string& base : bases) {
+    ASSERT_TRUE(ParseScenarioText(base).ok()) << base;
+    util::Rng rng(0x5ce7a210 ^ TextHash(base));
+    for (int m = 0; m < kMutantsPerText; ++m) {
+      std::string text = base;
+      const uint64_t edits = 1 + rng.UniformBounded(3);
+      for (uint64_t e = 0; e < edits; ++e) {
+        text = MutateScenarioText(text, &rng);
+      }
+      const util::Result<Scenario> scenario = ParseScenarioText(text);
+      if (!scenario.ok()) {
+        EXPECT_FALSE(scenario.status().message().empty()) << text;
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      // A mutant that parses renders to canonical text that parses back to
+      // the same scenario, and renders to the same text again.
+      const std::string canonical = RenderScenarioText(*scenario);
+      const util::Result<Scenario> again = ParseScenarioText(canonical);
+      ASSERT_TRUE(again.ok()) << text << "\n->\n"
+                              << canonical << "\n"
+                              << again.status().ToString();
+      EXPECT_TRUE(*again == *scenario) << text << "\n->\n" << canonical;
+      EXPECT_EQ(RenderScenarioText(*again), canonical) << text;
+    }
+  }
+  // Both outcomes occur, so the round-trip branch is exercised too.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 // ----------------------------------------------------- registry and flags
 
 TEST(RegistryTest, HasTheAdvertisedEntriesAndTheyValidate) {
@@ -592,6 +733,35 @@ TEST(RegistryTest, ScenarioFlagsApplyOrder) {
   // ...except the base observer list, kept when the scenario has none.
   ASSERT_EQ(s.observers.size(), 1u);
   EXPECT_EQ(s.observers[0].first, "probe");
+
+  // Scale flags out of range fail instead of wrapping or being ignored.
+  for (const char* arg : {"--peers=4294967396", "--peers=-5"}) {
+    SCOPED_TRACE(arg);
+    util::FlagSet range_flags;
+    ScenarioFlags range;
+    range.Register(&range_flags);
+    const char* range_argv[] = {"prog", arg};
+    EXPECT_TRUE(
+        range_flags.Parse(2, const_cast<char**>(range_argv)).IsOutOfRange());
+  }
+  for (const char* arg : {"--seed=-7", "--rounds=-5"}) {
+    SCOPED_TRACE(arg);
+    util::FlagSet range_flags;
+    ScenarioFlags range;
+    range.Register(&range_flags);
+    const char* range_argv[] = {"prog", arg};
+    ASSERT_TRUE(range_flags.Parse(2, const_cast<char**>(range_argv)).ok());
+    Scenario kept;
+    const util::Status status = range.Apply(&kept);
+    EXPECT_TRUE(status.IsInvalidArgument());
+    // The message names the flag and the value.
+    const std::string flag(arg);
+    const size_t eq = flag.find('=');
+    EXPECT_NE(status.message().find(flag.substr(0, eq)), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find(flag.substr(eq + 1)), std::string::npos)
+        << status.message();
+  }
 
   Scenario bad;
   util::FlagSet flags2;

@@ -12,6 +12,7 @@
 // instant visibility, observers, a departure grace and workload events.
 
 #include <algorithm>
+#include <array>
 #include <climits>
 #include <cmath>
 #include <fstream>
@@ -165,6 +166,71 @@ TEST(SweepSpecTest, ExpansionCountsAndOrdering) {
             (std::pair<std::string, std::string>{"quota", "256"}));
   EXPECT_EQ(first.coords[2], (std::pair<std::string, std::string>{"rep", "0"}));
   EXPECT_EQ(first.Label(), "threshold=132 quota=256 rep=0");
+}
+
+TEST(SweepSpecTest, AllAxesExpandRowMajorWithReplicatesInnermost) {
+  SweepSpec spec;
+  spec.base.peers = 120;
+  spec.base.rounds = 400;
+  spec.base.seed = 11;
+  spec.repair_thresholds = {140, 156};
+  spec.quotas = {256, 384};
+  spec.policies = {"fixed-threshold", "proactive{ batch_blocks = 8 }"};
+  spec.selections = {"oldest-first", "weighted-random{age_exponent=2}"};
+  spec.estimators = {"age-rank", "availability-weighted{exponent=2}"};
+  spec.scenarios = {"paper", "flash-crowd"};
+  spec.links = {"dsl-2009", "ftth"};
+  spec.replicates = 2;
+
+  const std::vector<std::string> axes = {"threshold", "quota",    "policy",
+                                         "selection", "estimator", "scenario",
+                                         "link",      "rep"};
+  // Each axis's two coordinates; spec axes carry the canonical spec form.
+  const std::vector<std::array<std::string, 2>> values = {
+      {"140", "156"},
+      {"256", "384"},
+      {"fixed-threshold", "proactive{batch_blocks=8}"},
+      {"oldest-first", "weighted-random{age_exponent=2}"},
+      {"age-rank", "availability-weighted{exponent=2}"},
+      {"paper", "flash-crowd"},
+      {"dsl-2009", "ftth"},
+      {"0", "1"}};
+  EXPECT_EQ(spec.ActiveAxes(), axes);
+  EXPECT_EQ(spec.GroupCount(), 128u);
+  EXPECT_EQ(spec.CellCount(), 256u);
+
+  auto cells = spec.Expand();
+  ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+  ASSERT_EQ(cells->size(), 256u);
+  for (size_t i = 0; i < cells->size(); ++i) {
+    SCOPED_TRACE(i);
+    const Cell& cell = (*cells)[i];
+    EXPECT_EQ(cell.index, i);
+    EXPECT_EQ(cell.group, i / 2);
+    EXPECT_EQ(cell.replicate, i % 2);
+    EXPECT_EQ(cell.scenario.seed, ReplicateSeed(11, i % 2));
+    // Row-major with two values per axis: bit b of the cell index, counted
+    // from the innermost (replicate) axis, is axis (7 - b)'s value.
+    ASSERT_EQ(cell.coords.size(), axes.size());
+    for (size_t a = 0; a < axes.size(); ++a) {
+      const size_t bit = axes.size() - 1 - a;
+      EXPECT_EQ(cell.coords[a],
+                (std::pair<std::string, std::string>{
+                    axes[a], values[a][(i >> bit) & 1]}));
+    }
+    // The cell runs what its coordinates name.
+    const backup::SystemOptions& o = cell.scenario.options;
+    EXPECT_EQ(std::to_string(o.repair_threshold), cell.coords[0].second);
+    EXPECT_EQ(std::to_string(o.quota_blocks), cell.coords[1].second);
+    EXPECT_EQ(o.policy.ToString(), cell.coords[2].second);
+    EXPECT_EQ(o.selection.ToString(), cell.coords[3].second);
+    EXPECT_EQ(o.estimator.ToString(), cell.coords[4].second);
+    EXPECT_EQ(cell.scenario.name, cell.coords[5].second);
+    EXPECT_TRUE(o.transfer_enabled);
+    EXPECT_EQ(o.transfer_link, cell.coords[6].second);
+    EXPECT_EQ(cell.scenario.peers, 120u);
+    EXPECT_EQ(cell.scenario.rounds, 400);
+  }
 }
 
 TEST(SweepSpecTest, EmptyAxesYieldOneCell) {
