@@ -57,6 +57,15 @@ options
     row would silently drop out of all three. A header that is missing, or
     in which the struct is not found, is itself a violation.
 
+reach
+    Dead-library check: starting from every file under src/sweep,
+    src/scenario and src/trace (the layers the programs are built on), follows
+    `#include "..."` edges and, from each header, its sibling .cc. A src/
+    file this never reaches is a violation, reported at its line 1, so
+    that code no program can call does not pile up unnoticed. A file kept
+    for tests or benches alone carries the allow annotation on its first
+    line.
+
 Escape hatch
 ------------
     // DETLINT-ALLOW(rule): reason
@@ -106,6 +115,11 @@ HOT_ALLOC_PATTERNS = (
 )
 PUSH_BACK_RE = re.compile(r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*"
                           r"(?:push_back|emplace_back)\s*\(")
+
+# The layers the programs are built on; the reach rule walks the include
+# graph from their files.
+REACH_ROOT_DIRS = ("sweep", "scenario", "trace")
+INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
 
 CHECK_SH_REQUIRED_LOOPS = (
     "scenario_tool list",
@@ -459,6 +473,45 @@ def check_options(root, violations):
                 "the table)" % (name, count)))
 
 
+def check_reach(root, sources, violations):
+    """Flags every file in `sources` ({path: raw text}, all of src/) that no
+    chain of include edges and header-to-sibling-.cc steps reaches from a
+    file under REACH_ROOT_DIRS."""
+    src = os.path.join(root, "src")
+
+    def edges(path):
+        for m in INCLUDE_RE.finditer(sources[path]):
+            # The including file's directory first, then src/ (the project's
+            # include root), as the compiler searches a quoted include.
+            for base in (os.path.dirname(path), src):
+                target = os.path.normpath(os.path.join(base, m.group(1)))
+                if target in sources:
+                    yield target
+                    break
+        if path.endswith(".h"):
+            sibling = path[:-len(".h")] + ".cc"
+            if sibling in sources:
+                yield sibling
+
+    reached = set(path for path in sources
+                  if os.path.relpath(path, src).split(os.sep)[0]
+                  in REACH_ROOT_DIRS)
+    stack = list(reached)
+    while stack:
+        for target in edges(stack.pop()):
+            if target not in reached:
+                reached.add(target)
+                stack.append(target)
+    for path in sorted(set(sources) - reached):
+        allows, _ = parse_allows(sources[path].splitlines(), path)
+        if not allowed(allows, 1, "reach"):
+            violations.append(Violation(
+                os.path.relpath(path, root), 1, "reach",
+                "unreachable from src/%s (#include edges, header to "
+                "sibling .cc): no program can call it" %
+                ", src/".join(REACH_ROOT_DIRS)))
+
+
 def lint_file(root, path, violations):
     rel = os.path.relpath(path, root)
     with open(path, encoding="utf-8") as f:
@@ -475,6 +528,7 @@ def lint_file(root, path, violations):
     check_unordered_iter(rel, stripped, stripped_lines, allows, violations)
     check_hot_path(rel, stripped, stripped_lines, raw_lines, allows,
                    violations)
+    return raw
 
 
 def run(root):
@@ -483,10 +537,13 @@ def run(root):
         print("detlint: no src/ under %s" % root, file=sys.stderr)
         return 2
     violations = []
+    sources = {}
     for dirpath, _, filenames in sorted(os.walk(src)):
         for name in sorted(filenames):
             if name.endswith(SRC_EXTENSIONS):
-                lint_file(root, os.path.join(dirpath, name), violations)
+                path = os.path.join(dirpath, name)
+                sources[path] = lint_file(root, path, violations)
+    check_reach(root, sources, violations)
     check_registry(root, violations)
     check_options(root, violations)
     for v in sorted(violations, key=lambda v: (v.path, v.line, v.rule)):

@@ -3,11 +3,12 @@
 violation and stay quiet on the compliant twin.
 
 Each case builds a throwaway repo tree (compliant registry sources, option
-header, README.md and scripts/check.sh, plus or minus the case's own files) and
-runs the linter in-process. The fixtures are the executable specification
-of the rules: a rule change that stops a seeded violation from firing - or
-starts flagging the compliant twin - fails here before it ever gates a real
-diff.
+header, README.md and scripts/check.sh, plus or minus the case's own files,
+and a root file that includes every src/ file but those a reach case leaves
+out) and runs the linter in-process. The fixtures are the executable
+specification of the rules: a rule change that stops a seeded violation from
+firing - or starts flagging the compliant twin - fails here before it ever
+gates a real diff.
 
 Run directly (python3 scripts/detlint_test.py) or via ctest (detlint_test).
 """
@@ -75,14 +76,24 @@ def registry_tree(readme, check_sh=CHECK_SH_ALL_LOOPS):
 COMPLIANT_REGISTRIES = registry_tree("paper ghost-world oldest-first repairs\n")
 
 
-def run_on(files):
+# A reach-rule root that includes every other src/ file of the tree.
+REACH_ROOT = "src/sweep/fixture_root.cc"
+
+
+def run_on(files, unreached=()):
     """Materializes `files` ({relpath: text, or None to omit a compliant
-    registry file}) over COMPLIANT_REGISTRIES and lints the tree.
+    registry file}) over COMPLIANT_REGISTRIES, plus REACH_ROOT including
+    every src/ file not listed in `unreached`, and lints the tree.
 
     Returns (exit_code, stdout_text).
     """
     tree = dict(COMPLIANT_REGISTRIES)
     tree.update(files)
+    tree[REACH_ROOT] = "".join(
+        "#include \"%s\"\n" % rel[len("src/"):]
+        for rel, text in sorted(tree.items())
+        if rel.startswith("src/") and text is not None and
+        rel not in unreached)
     with tempfile.TemporaryDirectory() as root:
         for rel, text in tree.items():
             if text is None:
@@ -320,6 +331,49 @@ class OptionsRule(unittest.TestCase):
         code, out = run_on({"src/backup/options.h": None})
         self.assertEqual(code, 1)
         self.assertIn("src/backup/options.h:1: [options]", out)
+
+
+class ReachRule(unittest.TestCase):
+    def test_unreached_header_and_its_cc_fire(self):
+        code, out = run_on({
+            "src/util/orphan.h": "int Orphan();\n",
+            "src/util/orphan.cc": (
+                "#include \"util/orphan.h\"\n"
+                "int Orphan() { return 1; }\n"),
+        }, unreached=("src/util/orphan.h", "src/util/orphan.cc"))
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[reach]"), 2)
+        self.assertIn("src/util/orphan.cc:1: [reach]", out)
+        self.assertIn("src/util/orphan.h:1: [reach]", out)
+
+    def test_includes_and_sibling_cc_reach(self):
+        # The root includes lib.h; lib.h reaches lib.cc as its sibling and
+        # same-directory detail.h by a relative include, which reaches
+        # util/base.h from the src/ include root.
+        code, out = run_on({
+            "src/net/lib.h": "#include \"detail.h\"\nint Lib();\n",
+            "src/net/lib.cc": "#include \"net/lib.h\"\nint Lib();\n",
+            "src/net/detail.h": "#include \"util/base.h\"\n",
+            "src/util/base.h": "int Base();\n",
+        }, unreached=("src/net/lib.cc", "src/net/detail.h",
+                      "src/util/base.h"))
+        self.assertEqual(code, 0, out)
+
+    def test_allowed_header_stays_quiet(self):
+        code, out = run_on({"src/backup/probe.h": (
+            "// DETLINT-ALLOW(reach): fixture justification\n"
+            "#include \"backup/options.h\"\n")},
+            unreached=("src/backup/probe.h",))
+        self.assertEqual(code, 0, out)
+
+    def test_allow_below_line_one_does_not_suppress(self):
+        code, out = run_on({"src/backup/probe.h": (
+            "#pragma once\n"
+            "\n"
+            "// DETLINT-ALLOW(reach): fixture justification\n")},
+            unreached=("src/backup/probe.h",))
+        self.assertEqual(code, 1)
+        self.assertIn("src/backup/probe.h:1: [reach]", out)
 
 
 class CleanTree(unittest.TestCase):

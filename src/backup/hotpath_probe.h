@@ -1,3 +1,4 @@
+// DETLINT-ALLOW(reach): tests and bench_micro_sim drive single repair episodes through it
 // Test/bench backdoor into the repair hot path. BuildPool and RunRepair are
 // private by design - production callers go through the round loop - but the
 // micro benches (bench/bench_micro_sim.cpp) and the allocation-free tests

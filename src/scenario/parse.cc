@@ -24,32 +24,39 @@ constexpr Unit kUnits[] = {
     {"h", static_cast<double>(sim::kRoundsPerHour)},
 };
 
+// " for options.k", or nothing when no field is named.
+std::string ForField(const std::string& field) {
+  return field.empty() ? "" : " for " + field;
+}
+
 }  // namespace
 
 std::string Trim(const std::string& s) { return util::TrimWhitespace(s); }
 
 util::Result<int64_t> ParseInt(const std::string& token,
-                               const std::string& what) {
+                               const std::string& field) {
   const std::string t = Trim(token);
   if (t.empty()) {
-    return util::Status::InvalidArgument("empty " + what);
+    return util::Status::InvalidArgument("empty integer" + ForField(field));
   }
   int64_t v = 0;
   if (!util::ParseInt64Token(t, &v)) {
-    return util::Status::InvalidArgument("not an " + what + ": '" + t + "'");
+    return util::Status::InvalidArgument("not an integer" + ForField(field) +
+                                         ": '" + t + "'");
   }
   return v;
 }
 
 util::Result<double> ParseDouble(const std::string& token,
-                                 const std::string& what) {
+                                 const std::string& field) {
   const std::string t = Trim(token);
   if (t.empty()) {
-    return util::Status::InvalidArgument("empty " + what);
+    return util::Status::InvalidArgument("empty number" + ForField(field));
   }
   double v = 0.0;
   if (!util::ParseDoubleToken(t, &v)) {
-    return util::Status::InvalidArgument("not a " + what + ": '" + t + "'");
+    return util::Status::InvalidArgument("not a number" + ForField(field) +
+                                         ": '" + t + "'");
   }
   return v;
 }
@@ -61,33 +68,38 @@ util::Result<bool> ParseBool(const std::string& token) {
   return util::Status::InvalidArgument("not a boolean: '" + t + "'");
 }
 
-util::Result<sim::Round> ParseDuration(const std::string& token) {
+util::Result<sim::Round> ParseDuration(const std::string& token,
+                                       const std::string& field) {
   const std::string t = Trim(token);
   if (t.empty()) {
-    return util::Status::InvalidArgument("empty duration");
+    return util::Status::InvalidArgument("empty duration" + ForField(field));
   }
   for (const Unit& unit : kUnits) {
     const size_t len = std::strlen(unit.suffix);
     if (t.size() > len && t.compare(t.size() - len, len, unit.suffix) == 0) {
       const std::string number = t.substr(0, t.size() - len);
-      auto v = ParseDouble(number, "duration");
+      auto v = ParseDouble(number);
       if (!v.ok()) {
-        return util::Status::InvalidArgument("not a duration: '" + t + "'");
+        return util::Status::InvalidArgument(
+            "not a duration" + ForField(field) + ": '" + t + "'");
       }
       const double rounds = *v * unit.rounds;
       if (rounds < 0 || rounds > 9.0e15) {
-        return util::Status::OutOfRange("duration out of range: '" + t + "'");
+        return util::Status::OutOfRange(
+            "duration out of range" + ForField(field) + ": '" + t + "'");
       }
       return static_cast<sim::Round>(rounds + 0.5);
     }
   }
-  auto v = ParseInt(t, "duration");
+  auto v = ParseInt(t);
   if (!v.ok()) {
-    return util::Status::InvalidArgument("not a duration: '" + t +
+    return util::Status::InvalidArgument("not a duration" + ForField(field) +
+                                         ": '" + t +
                                          "' (expected rounds or h/d/w/mo/y)");
   }
   if (*v < 0) {
-    return util::Status::OutOfRange("duration must be >= 0: '" + t + "'");
+    return util::Status::OutOfRange("duration must be >= 0" + ForField(field) +
+                                    ": '" + t + "'");
   }
   return static_cast<sim::Round>(*v);
 }
@@ -130,7 +142,7 @@ util::Status ParseIntList(const std::string& csv, std::vector<int>* out) {
           "empty element " + std::to_string(element) + " in int list '" + csv +
           "'");
     }
-    auto v = ParseInt(item, "int");
+    auto v = ParseInt(item);
     if (!v.ok() || *v < INT_MIN || *v > INT_MAX) {
       return util::Status::InvalidArgument(
           "not an int: '" + item + "' (element " + std::to_string(element) +

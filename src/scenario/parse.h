@@ -30,19 +30,23 @@ namespace scenario {
 /// Strips leading/trailing ASCII whitespace.
 std::string Trim(const std::string& s);
 
-/// Parses a decimal integer; the message names `what` on failure.
+/// Parses a decimal integer. A failure names the type, then `field` when
+/// one is given: "not an integer for options.k: 'lots'".
 util::Result<int64_t> ParseInt(const std::string& token,
-                               const std::string& what = "integer");
+                               const std::string& field = "");
 
-/// Parses a floating-point number; the message names `what` on failure.
+/// Parses a finite floating-point number; a failure reads like ParseInt's:
+/// "not a number for profile.0.availability: 'x'".
 util::Result<double> ParseDouble(const std::string& token,
-                                 const std::string& what = "number");
+                                 const std::string& field = "");
 
 /// Parses "true"/"false" (also "1"/"0").
 util::Result<bool> ParseBool(const std::string& token);
 
-/// Parses a duration with an optional unit suffix (see file comment).
-util::Result<sim::Round> ParseDuration(const std::string& token);
+/// Parses a duration with an optional unit suffix (see file comment); a
+/// failure names `field` like ParseInt's.
+util::Result<sim::Round> ParseDuration(const std::string& token,
+                                       const std::string& field = "");
 
 /// Renders `rounds` as the largest unit that divides it exactly ("90d",
 /// "2w", "13140"); exact inverse of ParseDuration.

@@ -50,6 +50,16 @@ util::Status SplitCall(const std::string& value, std::string* head,
   return util::Status::OK();
 }
 
+// A lifetime's mean or scale: rounds as a bare number, fractional or not,
+// or a duration with a unit suffix as uniform(...) takes ("4mo" = 2880).
+util::Result<double> ParseRounds(const std::string& token,
+                                 const std::string& field) {
+  util::Result<double> number = ParseDouble(token);
+  if (number.ok()) return number;
+  P2P_ASSIGN_OR_RETURN(const sim::Round rounds, ParseDuration(token, field));
+  return static_cast<double>(rounds);
+}
+
 util::Result<LifetimeSpec> ParseLifetime(const std::string& value) {
   std::string head;
   std::vector<std::string> args;
@@ -76,7 +86,7 @@ util::Result<LifetimeSpec> ParseLifetime(const std::string& value) {
     case LifetimeKind::kPareto: {
       P2P_RETURN_IF_ERROR(want(2));
       P2P_ASSIGN_OR_RETURN(const double scale,
-                           ParseDouble(args[0], "pareto scale"));
+                           ParseRounds(args[0], "pareto scale"));
       P2P_ASSIGN_OR_RETURN(const double shape,
                            ParseDouble(args[1], "pareto shape"));
       return LifetimeSpec::Pareto(scale, shape);
@@ -84,7 +94,7 @@ util::Result<LifetimeSpec> ParseLifetime(const std::string& value) {
     case LifetimeKind::kExponential: {
       P2P_RETURN_IF_ERROR(want(1));
       P2P_ASSIGN_OR_RETURN(const double mean,
-                           ParseDouble(args[0], "exponential mean"));
+                           ParseRounds(args[0], "exponential mean"));
       return LifetimeSpec::Exponential(mean);
     }
   }
@@ -151,15 +161,13 @@ std::string Section(const backup::OptionKey& option) {
   return key.substr(0, key.find('.'));
 }
 
-// Parses an option value with the lexer of its member's type. Number errors
-// name the key's field, the part after its section; a link name is checked
-// by Scenario::Validate.
+// Parses an option value with the lexer of its member's type. Integer and
+// double errors name the key; a link name is checked by Scenario::Validate.
 template <typename T>
 util::Status ParseOption(const std::string& key, const std::string& value,
                          T* out) {
-  const std::string field = key.substr(key.find('.') + 1);
   if constexpr (std::is_same_v<T, int>) {
-    P2P_ASSIGN_OR_RETURN(const int64_t v, ParseInt(value, field));
+    P2P_ASSIGN_OR_RETURN(const int64_t v, ParseInt(value, key));
     if (v < INT_MIN || v > INT_MAX) {
       return util::Status::InvalidArgument(key + " out of int range: '" +
                                            value + "'");
@@ -168,7 +176,7 @@ util::Status ParseOption(const std::string& key, const std::string& value,
   } else if constexpr (std::is_same_v<T, sim::Round>) {
     P2P_ASSIGN_OR_RETURN(*out, ParseDuration(value));
   } else if constexpr (std::is_same_v<T, double>) {
-    P2P_ASSIGN_OR_RETURN(*out, ParseDouble(value, field));
+    P2P_ASSIGN_OR_RETURN(*out, ParseDouble(value, key));
   } else if constexpr (std::is_same_v<T, bool>) {
     P2P_ASSIGN_OR_RETURN(*out, ParseBool(value));
   } else if constexpr (std::is_same_v<T, backup::VisibilityModel>) {
@@ -288,7 +296,7 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
     } else if (key == "metrics.select") {
       st = ParseStringList(value, &scenario.metrics);
     } else if (key == "peers") {
-      auto v = ParseInt(value, "peer count");
+      auto v = ParseInt(value, key);
       if (v.ok() && (*v < 1 || *v > UINT32_MAX)) {
         st = util::Status::InvalidArgument("peers out of range: " + value);
       } else if (v.ok()) {
@@ -300,7 +308,7 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
       auto v = ParseDuration(value);
       if (v.ok()) scenario.rounds = *v; else st = v.status();
     } else if (key == "seed") {
-      auto v = ParseInt(value, "seed");
+      auto v = ParseInt(value, key);
       if (v.ok() && *v >= 0) {
         scenario.seed = static_cast<uint64_t>(*v);
       } else if (v.ok()) {
@@ -329,10 +337,10 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
         if (ik->field == "name") {
           p.name = value;
         } else if (ik->field == "proportion") {
-          auto v = ParseDouble(value, "proportion");
+          auto v = ParseDouble(value, key);
           if (v.ok()) p.proportion = *v; else st = v.status();
         } else if (ik->field == "availability") {
-          auto v = ParseDouble(value, "availability");
+          auto v = ParseDouble(value, key);
           if (v.ok()) p.availability = *v; else st = v.status();
         } else if (ik->field == "lifetime") {
           auto v = ParseLifetime(value);
@@ -358,7 +366,7 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
           auto v = ParseDuration(value);
           if (v.ok()) e.at = *v; else st = v.status();
         } else if (ik->field == "fraction") {
-          auto v = ParseDouble(value, "fraction");
+          auto v = ParseDouble(value, key);
           if (v.ok()) e.fraction = *v; else st = v.status();
         } else if (ik->field == "duration") {
           auto v = ParseDuration(value);

@@ -110,17 +110,26 @@ util::Result<std::vector<backup::PopulationAdjustment>> CompileWorkload(
         break;
       case WorkloadKind::kRamp: {
         // Spread `total` as evenly as integer arithmetic allows; the
-        // cumulative count after r rounds is floor(total * r / duration).
+        // cumulative count after r rounds is floor(total * r / duration),
+        // so join (or exit) j, counted from 1, lands in round
+        // ceil(j * duration / total) - 1. Each pass takes the first join of
+        // a round and jumps past that round's last, so the loop runs once
+        // per non-empty round: at most `total` times, however long the
+        // ramp. The products need 128 bits for long ramps.
         const bool grow = e.fraction > 0.0;
-        for (sim::Round r = 0; r < e.duration; ++r) {
-          const int64_t step =
-              total * (r + 1) / e.duration - total * r / e.duration;
-          if (step == 0) continue;
+        const __uint128_t n = static_cast<__uint128_t>(total);
+        const __uint128_t d = static_cast<__uint128_t>(e.duration);
+        for (__uint128_t j = 1; j <= n;) {
+          const __uint128_t r = (j * d + n - 1) / n - 1;
+          const __uint128_t last = n * (r + 1) / d;
+          const auto step = static_cast<uint32_t>(last - j + 1);
+          const sim::Round at = e.at + static_cast<sim::Round>(r);
           if (grow) {
-            out.push_back({e.at + r, static_cast<uint32_t>(step), 0});
+            out.push_back({at, step, 0});
           } else {
-            out.push_back({e.at + r, 0, static_cast<uint32_t>(step)});
+            out.push_back({at, 0, step});
           }
+          j = last + 1;
         }
         break;
       }

@@ -70,44 +70,6 @@ double Rng::Pareto(double scale, double shape) {
   return scale * std::pow(u, -1.0 / shape);
 }
 
-std::vector<uint32_t> Rng::SampleIndices(uint32_t universe, uint32_t count) {
-  if (count >= universe) {
-    std::vector<uint32_t> all(universe);
-    for (uint32_t i = 0; i < universe; ++i) all[i] = i;
-    Shuffle(&all);
-    return all;
-  }
-  // Partial Fisher-Yates over a sparse map keeps this O(count) in time and
-  // space even for large universes.
-  std::vector<uint32_t> out;
-  out.reserve(count);
-  std::vector<std::pair<uint32_t, uint32_t>> moved;  // (index, value) overlay
-  auto lookup = [&moved](uint32_t i) -> uint32_t {
-    for (const auto& kv : moved) {
-      if (kv.first == i) return kv.second;
-    }
-    return i;
-  };
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t j =
-        static_cast<uint32_t>(UniformInt(i, static_cast<int64_t>(universe) - 1));
-    const uint32_t vj = lookup(j);
-    const uint32_t vi = lookup(i);
-    out.push_back(vj);
-    // Record the swap: position j now holds what was at i.
-    bool found = false;
-    for (auto& kv : moved) {
-      if (kv.first == j) {
-        kv.second = vi;
-        found = true;
-        break;
-      }
-    }
-    if (!found) moved.emplace_back(j, vi);
-  }
-  return out;
-}
-
 uint64_t DeriveSeed(uint64_t master_seed, uint64_t stream_id) {
   // Mix the stream id through SplitMix64 twice so that consecutive ids do not
   // produce correlated seeds.

@@ -23,9 +23,8 @@ uint64_t SplitMix64(uint64_t* state);
 
 /// \brief Deterministic xoshiro256** PRNG with distribution helpers.
 ///
-/// Not cryptographically secure (crypto lives in src/crypto). All helpers
-/// consume a bounded number of raw draws so streams stay aligned across
-/// platforms.
+/// Not cryptographically secure. All helpers consume a bounded number of raw
+/// draws so streams stay aligned across platforms.
 class Rng {
  public:
   /// Seeds the generator; equal seeds yield equal sequences on all platforms.
@@ -46,9 +45,6 @@ class Rng {
     s_[3] = Rotl(s_[3], 45);
     return result;
   }
-
-  /// Returns the next 32 bits.
-  uint32_t NextU32() { return static_cast<uint32_t>(NextU64() >> 32); }
 
   /// Returns a double uniform in [0, 1) with 53 random bits.
   double NextDouble() {
@@ -167,10 +163,6 @@ class Rng {
       std::swap((*v)[i - 1], (*v)[j]);
     }
   }
-
-  /// Draws `count` distinct indices uniformly from [0, universe); `count` is
-  /// clamped to `universe`. Order of the returned indices is random.
-  std::vector<uint32_t> SampleIndices(uint32_t universe, uint32_t count);
 
  private:
   static uint64_t Rotl(uint64_t x, int k) {

@@ -11,18 +11,10 @@ std::string_view CodeName(Status::Code code) {
       return "invalid argument";
     case Status::Code::kNotFound:
       return "not found";
-    case Status::Code::kCorruption:
-      return "corruption";
     case Status::Code::kOutOfRange:
       return "out of range";
-    case Status::Code::kResourceExhausted:
-      return "resource exhausted";
-    case Status::Code::kFailedPrecondition:
-      return "failed precondition";
     case Status::Code::kUnavailable:
       return "unavailable";
-    case Status::Code::kInternal:
-      return "internal";
   }
   return "unknown";
 }

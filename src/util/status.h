@@ -24,12 +24,8 @@ class Status {
     kOk = 0,
     kInvalidArgument,
     kNotFound,
-    kCorruption,
     kOutOfRange,
-    kResourceExhausted,
-    kFailedPrecondition,
     kUnavailable,
-    kInternal,
   };
 
   /// Constructs an OK status.
@@ -42,22 +38,12 @@ class Status {
     return Status(Code::kInvalidArgument, msg);
   }
   static Status NotFound(std::string_view msg) { return Status(Code::kNotFound, msg); }
-  static Status Corruption(std::string_view msg) {
-    return Status(Code::kCorruption, msg);
-  }
   static Status OutOfRange(std::string_view msg) {
     return Status(Code::kOutOfRange, msg);
-  }
-  static Status ResourceExhausted(std::string_view msg) {
-    return Status(Code::kResourceExhausted, msg);
-  }
-  static Status FailedPrecondition(std::string_view msg) {
-    return Status(Code::kFailedPrecondition, msg);
   }
   static Status Unavailable(std::string_view msg) {
     return Status(Code::kUnavailable, msg);
   }
-  static Status Internal(std::string_view msg) { return Status(Code::kInternal, msg); }
   /// @}
 
   /// Returns true iff the operation succeeded.
@@ -73,12 +59,8 @@ class Status {
   /// @{
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
-  bool IsCorruption() const { return code_ == Code::kCorruption; }
   bool IsOutOfRange() const { return code_ == Code::kOutOfRange; }
-  bool IsResourceExhausted() const { return code_ == Code::kResourceExhausted; }
-  bool IsFailedPrecondition() const { return code_ == Code::kFailedPrecondition; }
   bool IsUnavailable() const { return code_ == Code::kUnavailable; }
-  bool IsInternal() const { return code_ == Code::kInternal; }
   /// @}
 
   /// Renders "OK" or "<category>: <message>" for logs and test failures.

@@ -6,14 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include "archive/builder.h"
-#include "archive/pipeline.h"
 #include "core/acceptance.h"
 #include "core/lifetime_estimator.h"
 #include "core/maintenance_policy.h"
 #include "core/strategy_registry.h"
 #include "core/strategy_spec.h"
-#include "erasure/reed_solomon.h"
 #include "metrics/registry.h"
 #include "scenario/registry.h"
 #include "sim/event_queue.h"
@@ -21,72 +18,9 @@
 #include "sweep/runner.h"
 #include "sweep/spec.h"
 #include "util/rng.h"
-#include "util/serialize.h"
 
 namespace p2p {
 namespace {
-
-// --- Serialization: arbitrary write sequences read back identically. ---
-
-TEST(SerializeProperty, RandomScriptsRoundTrip) {
-  util::Rng rng(1);
-  for (int trial = 0; trial < 200; ++trial) {
-    util::Writer w;
-    std::vector<int> script;
-    std::vector<uint64_t> ints;
-    std::vector<std::vector<uint8_t>> blobs;
-    const int ops = static_cast<int>(rng.UniformInt(1, 30));
-    for (int i = 0; i < ops; ++i) {
-      const int op = static_cast<int>(rng.UniformInt(0, 2));
-      script.push_back(op);
-      if (op == 0) {
-        const uint64_t v = rng.NextU64() >> rng.UniformInt(0, 63);
-        ints.push_back(v);
-        w.PutVarint(v);
-      } else if (op == 1) {
-        const uint64_t v = rng.NextU64();
-        ints.push_back(v);
-        w.PutU64(v);
-      } else {
-        std::vector<uint8_t> blob(static_cast<size_t>(rng.UniformInt(0, 64)));
-        for (auto& b : blob) b = static_cast<uint8_t>(rng.NextU32());
-        blobs.push_back(blob);
-        w.PutBytes(blob);
-      }
-    }
-    util::Reader r(w.data());
-    size_t int_idx = 0, blob_idx = 0;
-    for (int op : script) {
-      if (op == 0) {
-        ASSERT_EQ(r.GetVarint().value(), ints[int_idx++]);
-      } else if (op == 1) {
-        ASSERT_EQ(r.GetU64().value(), ints[int_idx++]);
-      } else {
-        ASSERT_EQ(r.GetBytes().value(), blobs[blob_idx++]);
-      }
-    }
-    ASSERT_TRUE(r.AtEnd());
-  }
-}
-
-TEST(SerializeProperty, TruncationAtEveryPointFailsCleanly) {
-  util::Writer w;
-  w.PutVarint(123456);
-  w.PutString("hello world");
-  w.PutU64(~0ull);
-  w.PutBytes({1, 2, 3, 4, 5});
-  const auto& full = w.data();
-  for (size_t cut = 0; cut < full.size(); ++cut) {
-    util::Reader r(full.data(), cut);
-    // Whatever prefix parses must never crash; at least one getter fails.
-    auto a = r.GetVarint();
-    auto b = a.ok() ? r.GetString() : util::Result<std::string>(a.status());
-    auto c = b.ok() ? r.GetU64() : util::Result<uint64_t>(b.status());
-    auto d = c.ok() ? r.GetBytes()
-                    : util::Result<std::vector<uint8_t>>(c.status());
-    ASSERT_FALSE(d.ok()) << "cut=" << cut;
-  }
-}
 
 // --- Calendar queue: random schedules drain in exact round order. ---
 
@@ -146,77 +80,6 @@ TEST_P(AcceptanceGrid, PropertiesHoldForHorizon) {
 
 INSTANTIATE_TEST_SUITE_P(Horizons, AcceptanceGrid,
                          ::testing::Values(24, 720, 2160, 90 * 24, 365 * 24));
-
-// --- Erasure + crypto pipeline: random loss patterns over parameter grid. ---
-
-struct PipelineParam {
-  int k;
-  int m;
-  size_t archive_bytes;
-};
-
-class PipelineGrid : public ::testing::TestWithParam<PipelineParam> {};
-
-TEST_P(PipelineGrid, SurvivesAnyLossPatternAboveK) {
-  const auto param = GetParam();
-  util::Rng rng(static_cast<uint64_t>(param.k * 31 + param.m));
-  auto pipeline = archive::BackupPipeline::Create(param.k, param.m).value();
-
-  archive::BackupBuilder builder;
-  std::vector<uint8_t> content(param.archive_bytes);
-  for (auto& b : content) b = static_cast<uint8_t>(rng.NextU32());
-  ASSERT_TRUE(builder.AddFile("f", content).ok());
-  auto archives = builder.TakeArchives();
-  ASSERT_EQ(archives.size(), 1u);
-
-  auto enc = pipeline->Encode(archives[0], &rng).value();
-  const int n = param.k + param.m;
-  for (int trial = 0; trial < 8; ++trial) {
-    const int survivors = static_cast<int>(
-        rng.UniformInt(param.k, n));  // any count >= k must decode
-    std::vector<bool> present(static_cast<size_t>(n), false);
-    for (uint32_t keep : rng.SampleIndices(static_cast<uint32_t>(n),
-                                           static_cast<uint32_t>(survivors))) {
-      present[keep] = true;
-    }
-    auto restored = pipeline->Decode(enc.shards, present, enc.shard_size,
-                                     enc.archive_size, enc.archive_digest,
-                                     enc.session_key, archives[0].id());
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    ASSERT_EQ(restored->entries()[0].payload, content);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, PipelineGrid,
-    ::testing::Values(PipelineParam{1, 1, 100}, PipelineParam{2, 6, 1000},
-                      PipelineParam{8, 8, 10'000}, PipelineParam{13, 7, 4097},
-                      PipelineParam{32, 32, 100'000},
-                      PipelineParam{128, 128, 65'536}));
-
-// --- RS generators: every k-subset of rows is invertible (the any-k core). ---
-
-class RsSubsetGrid : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(RsSubsetGrid, RandomRowSubsetsInvertible) {
-  const auto [k, m] = GetParam();
-  auto rs = erasure::ReedSolomon::Create(k, m).value();
-  util::Rng rng(static_cast<uint64_t>(k * 100 + m));
-  for (int trial = 0; trial < 30; ++trial) {
-    std::vector<int> rows;
-    for (uint32_t r : rng.SampleIndices(static_cast<uint32_t>(k + m),
-                                        static_cast<uint32_t>(k))) {
-      rows.push_back(static_cast<int>(r));
-    }
-    ASSERT_TRUE(rs->generator().SelectRows(rows).Inverted().ok());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, RsSubsetGrid,
-                         ::testing::Values(std::pair{4, 4}, std::pair{10, 6},
-                                           std::pair{32, 32},
-                                           std::pair{128, 128},
-                                           std::pair{200, 56}));
 
 // Draws the parameters of one strategy spec for trial `trial`: even trials
 // run pure defaults, odd ones set every parameter to a uniformly drawn

@@ -8,10 +8,13 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -208,6 +211,89 @@ TEST(WorkloadTest, CompileSpreadsRampsExactly) {
     EXPECT_EQ(adj.exits, 0u);
   }
   EXPECT_EQ(total, 100);  // the ramp delivers exactly fraction * peers
+}
+
+// The per-round ramp loop CompileWorkload ran before it stepped over joins:
+// one pass per ramp round, the cumulative count after r rounds being
+// floor(total * r / duration). The reference for ramps short enough to walk.
+std::vector<backup::PopulationAdjustment> PerRoundRamp(const WorkloadEvent& e,
+                                                      uint32_t num_peers) {
+  const int64_t total = static_cast<int64_t>(
+      std::llround(std::abs(e.fraction) * static_cast<double>(num_peers)));
+  std::vector<backup::PopulationAdjustment> out;
+  for (sim::Round r = 0; r < e.duration; ++r) {
+    const int64_t step = total * (r + 1) / e.duration - total * r / e.duration;
+    if (step == 0) continue;
+    if (e.fraction > 0.0) {
+      out.push_back({e.at + r, static_cast<uint32_t>(step), 0});
+    } else {
+      out.push_back({e.at + r, 0, static_cast<uint32_t>(step)});
+    }
+  }
+  return out;
+}
+
+TEST(WorkloadTest, RampsMatchThePerRoundReference) {
+  struct Case {
+    double fraction;
+    sim::Round duration;
+    uint32_t peers;
+  };
+  // Durations below, equal to and above the ramp's count, growing and
+  // shrinking: each round gets several joins, exactly one, or often none.
+  const Case cases[] = {
+      {1.0, 7, 100},         {0.5, 7, 1000},     {0.25, 1000, 100},
+      {1.0, 1000, 1000},     {-0.5, 333, 1000},  {-0.3, 10'000, 500},
+      {2.0, 720, 997},       {0.01, 1, 1600},    {16.0, 4321, 1000},
+      {0.003, 50'000, 1000}, {-0.9, 1, 200},     {1.0, 999, 1000},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "fraction " << c.fraction
+                                      << ", duration " << c.duration
+                                      << ", peers " << c.peers);
+    const WorkloadEvent ramp = WorkloadEvent::Ramp(25, c.fraction, c.duration);
+    WorkloadSchedule schedule;
+    schedule.events.push_back(ramp);
+    const auto compiled = CompileWorkload(schedule, c.peers);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const std::vector<backup::PopulationAdjustment> want =
+        PerRoundRamp(ramp, c.peers);
+    ASSERT_EQ(compiled->size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ((*compiled)[i].at, want[i].at) << i;
+      EXPECT_EQ((*compiled)[i].joins, want[i].joins) << i;
+      EXPECT_EQ((*compiled)[i].exits, want[i].exits) << i;
+    }
+  }
+}
+
+TEST(WorkloadTest, BillionYearRampCompilesPromptly) {
+  // 1e9 years is 8.76e12 rounds: a pass per round would spin for hours, and
+  // total * (r + 1) would overflow int64 long before the end.
+  const auto parsed = ParseScenarioText(
+      "name = x\nevent.0.kind = ramp\nevent.0.at = 30d\n"
+      "event.0.fraction = 1\nevent.0.duration = 1e9y\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const sim::Round duration = parsed->workload.events[0].duration;
+  ASSERT_EQ(duration, sim::Round{1'000'000'000} * sim::kRoundsPerYear);
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(parsed->Validate().ok());
+  const auto compiled = CompileWorkload(parsed->workload, parsed->peers);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+
+  // Every join gets a round of its own; the last lands on the ramp's last.
+  ASSERT_EQ(compiled->size(), parsed->peers);
+  const sim::Round at = 30 * sim::kRoundsPerDay;
+  EXPECT_EQ(compiled->front().at,
+            at + (duration + parsed->peers - 1) / parsed->peers - 1);
+  EXPECT_EQ(compiled->back().at, at + duration - 1);
+  for (const backup::PopulationAdjustment& adj : *compiled) {
+    EXPECT_EQ(adj.joins, 1u);
+    EXPECT_EQ(adj.exits, 0u);
+  }
 }
 
 TEST(WorkloadTest, CompileRejectsPopulationUnderflow) {
@@ -440,6 +526,54 @@ TEST(TextTest, ErrorsNameLineAndToken) {
               std::string::npos)
         << message;
   }
+
+  // Number errors name the expected type, then the key or argument.
+  const std::pair<std::string, std::string> typed[] = {
+      {"options.k = lots", "line 2: not an integer for options.k: 'lots'"},
+      {"peers = x", "line 2: not an integer for peers: 'x'"},
+      {"profile.0.lifetime = exponential(x)",
+       "line 2: not a duration for exponential mean: 'x'"},
+      {"profile.0.availability = x",
+       "line 2: not a number for profile.0.availability: 'x'"},
+  };
+  for (const auto& [line, want] : typed) {
+    SCOPED_TRACE(line);
+    bad = ParseScenarioText("name = x\n" + line + "\n");
+    EXPECT_TRUE(bad.status().IsInvalidArgument());
+    EXPECT_EQ(bad.status().message().find(want), 0u)
+        << bad.status().message();
+  }
+}
+
+TEST(TextTest, LifetimeMeansAndScalesTakeDurations) {
+  // A unit suffix reads as a duration, as uniform(...)'s bounds do; a bare
+  // number stays raw rounds, and the render is the bare number's.
+  const std::pair<std::string, std::string> same[] = {
+      {"exponential(4mo)", "exponential(2880)"},
+      {"exponential(1.5y)", "exponential(13140)"},
+      {"pareto(30d,1.1)", "pareto(720,1.1)"},
+  };
+  const std::string profile =
+      "name = x\nprofile.0.name = solo\nprofile.0.proportion = 1\n"
+      "profile.0.availability = 0.5\nprofile.0.lifetime = ";
+  for (const auto& [suffixed, bare] : same) {
+    SCOPED_TRACE(suffixed);
+    const auto with_unit = ParseScenarioText(profile + suffixed + "\n");
+    const auto rounds = ParseScenarioText(profile + bare + "\n");
+    ASSERT_TRUE(with_unit.ok()) << with_unit.status().ToString();
+    ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+    EXPECT_TRUE(with_unit->population == rounds->population);
+    const std::string text = RenderScenarioText(*with_unit);
+    EXPECT_EQ(text, RenderScenarioText(*rounds));
+    const auto again = ParseScenarioText(text);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(*again == *with_unit);
+    EXPECT_EQ(RenderScenarioText(*again), text);
+  }
+  // A fractional bare mean is rounds as written, not rounded to a duration.
+  const auto fractional = ParseScenarioText(profile + "exponential(0.5)\n");
+  ASSERT_TRUE(fractional.ok()) << fractional.status().ToString();
+  EXPECT_EQ(fractional->population.profiles[0].lifetime.mean, 0.5);
 }
 
 TEST(TextTest, ParameterizedStrategySpecsRoundTrip) {
