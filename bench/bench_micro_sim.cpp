@@ -14,6 +14,7 @@
 #include "churn/profile.h"
 #include "core/selection.h"
 #include "monitor/availability_monitor.h"
+#include "scenario/population.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "util/rng.h"
@@ -60,7 +61,7 @@ void BM_NetworkRoundsPerSecond(benchmark::State& state) {
   eopts.seed = 7;
   eopts.end_round = INT32_MAX;  // the network's round bound
   sim::Engine engine(eopts);
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   backup::SystemOptions opts;
   opts.num_peers = peers;
   backup::BackupNetwork network(&engine, &profiles, opts);
@@ -144,7 +145,8 @@ BENCHMARK(BM_SelectionChoose)->Args({66, 22})->Args({768, 256});
 // profiles, population `peers`, run far enough past bootstrap that partner
 // sets, quotas, and scratch capacities reflect the steady state.
 struct WarmWorld {
-  explicit WarmWorld(uint32_t peers) : profiles(churn::ProfileSet::Paper()) {
+  explicit WarmWorld(uint32_t peers)
+      : profiles(*scenario::PopulationSpec::Paper().Compile()) {
     eopts.seed = 7;
     eopts.end_round = INT32_MAX;  // the network's round bound
     engine = std::make_unique<sim::Engine>(eopts);

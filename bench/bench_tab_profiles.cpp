@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < kDraws; ++i) {
     const uint32_t idx = set.SampleIndex(&rng);
     ++counts[idx];
-    const sim::Round life = set[idx].lifetime->Sample(&rng);
+    const sim::Round life = set[idx].lifetime.Sample(&rng);
     if (life != sim::kNever) {
       lifetimes[idx].Add(sim::RoundsToDays(life));
     }
@@ -64,10 +64,11 @@ int main(int argc, char** argv) {
   std::vector<double> measured_avail(set.size(), 0.0);
   for (size_t p = 0; p < set.size(); ++p) {
     int64_t online = 0, total = 0;
-    bool on = set[p].sessions.SampleInitialOnline(&rng);
+    const churn::SessionProcess& sessions = set.sessions(p);
+    bool on = sessions.SampleInitialOnline(&rng);
     while (total < 2'000'000) {
-      const sim::Round len = on ? set[p].sessions.SampleOnline(&rng)
-                                : set[p].sessions.SampleOffline(&rng);
+      const sim::Round len = on ? sessions.SampleOnline(&rng)
+                                : sessions.SampleOffline(&rng);
       if (on) online += len;
       total += len;
       on = !on;
@@ -85,8 +86,8 @@ int main(int argc, char** argv) {
     t.Add(set[p].name);
     t.Add(set[p].proportion, 2);
     t.Add(counts[p] / static_cast<double>(kDraws), 4);
-    t.Add(set[p].lifetime->name());
-    const double mean = set[p].lifetime->MeanRounds();
+    t.Add(churn::LifetimeKindName(set[p].lifetime.kind));
+    const double mean = set[p].lifetime.MeanRounds();
     if (mean == static_cast<double>(sim::kNever)) {
       t.Add("unlimited");
     } else {

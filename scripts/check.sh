@@ -56,6 +56,15 @@ for scenario in $(./build/scenario_tool list); do
 done
 
 echo
+echo "== population smoke: every registered population, sampled =="
+# Compiles each registry population and samples every lifetime law and
+# session process it uses (1M lifetime draws per scenario).
+for scenario in $(./build/scenario_tool list); do
+  echo "-- population: ${scenario}"
+  ./build/bench_tab_profiles --scenario="${scenario}" > /dev/null
+done
+
+echo
 echo "== transfer smoke: every registered scenario on the 2009 DSL link, invariant-checked =="
 # The same scenario loop with the bandwidth-constrained transfer scheduler
 # enabled: repairs queue and stretch over rounds instead of completing

@@ -51,8 +51,9 @@ struct HotPathProbe {
     net->selection_->Choose(&net->scratch_pool_, d, net->place_rng_, out);
   }
 
-  /// The placement stream itself, for state()/set_state() snapshot tests
-  /// that replay a BuildPool episode draw for draw.
+  /// The placement stream itself, for tests that compare or replay it draw
+  /// for draw (Rng is a copyable value: copy it to snapshot, assign back to
+  /// restore).
   util::Rng* place_rng() { return net->place_rng_; }
 
   /// Host ids of `owner`'s current partners (the exclusion set BuildPool

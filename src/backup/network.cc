@@ -15,9 +15,6 @@ namespace {
 constexpr uint64_t kChurnStream = 0x11;
 constexpr uint64_t kPlacementStream = 0x22;
 
-// Upper bound on observers; sizes the id space above num_peers.
-constexpr uint32_t kMaxObservers = 64;
-
 // Archive size for the transfer scheduler's cost model (paper 2.2.4:
 // "a typical data amount of 128 MB per archive").
 constexpr uint64_t kArchiveBytes = 128ull << 20;
@@ -35,13 +32,14 @@ inline void Prefetch(const void* line) { __builtin_prefetch(line); }
 
 namespace {
 
-// Id slots that must be reserved above num_peers so every scheduled join
-// wave finds a fresh slot (exited slots are never reused).
-uint32_t TotalScheduledJoins(const std::vector<PopulationAdjustment>& workload) {
-  uint64_t joins = 0;
-  for (const PopulationAdjustment& adj : workload) joins += adj.joins;
-  P2P_CHECK(joins <= UINT32_MAX);
-  return static_cast<uint32_t>(joins);
+// Normal-peer id slots: the initial population plus one fresh slot per
+// scheduled join (exited slots are never reused).
+uint32_t NormalSlots(uint32_t num_peers,
+                     const std::vector<PopulationAdjustment>& workload) {
+  uint64_t slots = num_peers;
+  for (const PopulationAdjustment& adj : workload) slots += adj.joins;
+  P2P_CHECK(slots <= kMaxNormalSlots);
+  return static_cast<uint32_t>(slots);
 }
 
 }  // namespace
@@ -53,7 +51,7 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
     : engine_(engine),
       profiles_(profiles),
       options_(options),
-      normal_slots_(options.num_peers + TotalScheduledJoins(workload)),
+      normal_slots_(NormalSlots(options.num_peers, workload)),
       next_join_slot_(options.num_peers),
       workload_(std::move(workload)),
       acceptance_(options.acceptance_horizon),
@@ -178,8 +176,8 @@ void BackupNetwork::InitPeer(PeerId id, sim::Round now) {
   join_lane_[id] = now;
   hosted_[id] = 0;  // ghost quota of the previous incarnation dies with it
 
-  const churn::Profile& profile = (*profiles_)[p.profile];
-  const sim::Round lifetime = profile.lifetime->Sample(churn_rng_);
+  const sim::Round lifetime =
+      (*profiles_)[p.profile].lifetime.Sample(churn_rng_);
   if (lifetime != sim::kNever) {
     p.departure_round = now + lifetime;
     departures_.Schedule(p.departure_round, Event{id, incarnation, 0});
@@ -191,7 +189,8 @@ void BackupNetwork::InitPeer(PeerId id, sim::Round now) {
     monitor_.RecordJoin(id, now);
     monitor_.RecordConnect(id, now);
   }
-  const sim::Round on_len = profile.sessions.SampleOnline(churn_rng_);
+  const sim::Round on_len =
+      profiles_->sessions(p.profile).SampleOnline(churn_rng_);
   p.next_toggle = now + on_len;
   toggles_.Schedule(p.next_toggle, Event{id, incarnation, p.next_toggle});
 
@@ -330,7 +329,7 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
       IsObserver(e.id)) {
     return;  // stale
   }
-  const churn::Profile& profile = (*profiles_)[p.profile];
+  const churn::SessionProcess& sessions = profiles_->sessions(p.profile);
   if (p.online) {
     p.online = false;
     p.offline_since = now;
@@ -348,7 +347,7 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
       timeouts_.Schedule(now + options_.partner_timeout + 1,
                          Event{e.id, p.incarnation, now});
     }
-    const sim::Round off_len = profile.sessions.SampleOffline(churn_rng_);
+    const sim::Round off_len = sessions.SampleOffline(churn_rng_);
     p.next_toggle = now + off_len;
   } else {
     p.online = true;
@@ -358,7 +357,7 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
       for (const ClientLink& c : clients_[e.id]) ++peers_[c.owner].visible;
     }
     if (p.needs_repair) EnqueueRepair(e.id);
-    const sim::Round on_len = profile.sessions.SampleOnline(churn_rng_);
+    const sim::Round on_len = sessions.SampleOnline(churn_rng_);
     p.next_toggle = now + on_len;
   }
   SyncIndex(e.id);

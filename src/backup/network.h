@@ -42,6 +42,13 @@ namespace backup {
 /// ids above are observers.
 using PeerId = uint32_t;
 
+/// Upper bound on observers; sizes the id space above the normal slots.
+constexpr uint32_t kMaxObservers = 64;
+
+/// Most normal-peer id slots a network has: the initial population plus
+/// one slot per scheduled join must fit below the observers' ids.
+constexpr uint32_t kMaxNormalSlots = UINT32_MAX - kMaxObservers;
+
 /// \brief One scheduled population perturbation, resolved to absolute
 /// counts (compiled from a scenario workload; see scenario::CompileWorkload).
 ///
@@ -129,7 +136,6 @@ class BackupNetwork {
   int VisibleBlocks(PeerId id) const { return peers_[id].visible; }
   int HostedBlocks(PeerId id) const { return hosted_[id]; }
   sim::Round AgeOf(PeerId id) const;
-  uint32_t ProfileOf(PeerId id) const { return peers_[id].profile; }
   const SystemOptions& options() const { return options_; }
   /// The instantiated lifetime estimator (tests, reports).
   const core::LifetimeEstimator& estimator() const { return *estimator_; }

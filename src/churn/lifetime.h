@@ -1,89 +1,67 @@
 // Lifetime distributions: how long a peer stays in the system before leaving
 // definitively. The paper's profile table uses bounded ranges; the Pareto
-// model realizes the heavy-tailed lifetimes of [5] ("lifetimes in a
+// law realizes the heavy-tailed lifetimes of [5] ("lifetimes in a
 // peer-to-peer system follow a Pareto distribution") for ablation studies.
 
 #ifndef P2P_CHURN_LIFETIME_H_
 #define P2P_CHURN_LIFETIME_H_
 
-#include <memory>
 #include <string>
 
 #include "sim/clock.h"
+#include "util/result.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace p2p {
 namespace churn {
 
-/// \brief Distribution of total peer lifetime, in rounds.
-class LifetimeModel {
- public:
-  virtual ~LifetimeModel() = default;
-
-  /// Draws a lifetime; sim::kNever means the peer never departs.
-  virtual sim::Round Sample(util::Rng* rng) const = 0;
-
-  /// Mean lifetime in rounds (sim::kNever for unbounded models); used by
-  /// analytic sanity checks and the proactive-repair estimator.
-  virtual double MeanRounds() const = 0;
-
-  /// Display name for reports.
-  virtual std::string name() const = 0;
+/// Which lifetime distribution a profile draws from.
+enum class LifetimeKind {
+  kUnlimited,    ///< never departs (paper's Durable)
+  kUniform,      ///< uniform over [lo, hi] rounds (paper's range notation)
+  kPareto,       ///< heavy-tailed Pareto(scale, shape): expected residual
+                 ///< life grows linearly with age
+  kExponential,  ///< memoryless control (age carries no information)
 };
 
-/// Peer never departs (the paper's Durable profile: "unlimited").
-class UnlimitedLifetime : public LifetimeModel {
- public:
-  sim::Round Sample(util::Rng* rng) const override;
-  double MeanRounds() const override;
-  std::string name() const override { return "unlimited"; }
+/// \brief Distribution of total peer lifetime, in rounds; parameters by kind
+/// (see the factories).
+struct LifetimeSpec {
+  LifetimeKind kind = LifetimeKind::kUnlimited;
+  sim::Round lo = 0;    ///< kUniform: lower bound (rounds)
+  sim::Round hi = 0;    ///< kUniform: upper bound (rounds)
+  double scale = 0.0;   ///< kPareto: minimum lifetime (rounds)
+  double shape = 0.0;   ///< kPareto: tail exponent
+  double mean = 0.0;    ///< kExponential: mean (rounds)
+
+  static LifetimeSpec Unlimited();
+  static LifetimeSpec Uniform(sim::Round lo, sim::Round hi);
+  static LifetimeSpec Pareto(double scale_rounds, double shape);
+  static LifetimeSpec Exponential(double mean_rounds);
+
+  util::Status Validate() const;
+
+  /// Draws a lifetime; sim::kNever means the peer never departs. Every kind
+  /// consumes the stream, kUnlimited included, so streams stay aligned
+  /// across profile mixes. Requires Validate().ok().
+  sim::Round Sample(util::Rng* rng) const;
+
+  /// Mean lifetime in rounds (sim::kNever for unbounded laws).
+  double MeanRounds() const;
+
+  friend bool operator==(const LifetimeSpec& a, const LifetimeSpec& b) {
+    return a.kind == b.kind && a.lo == b.lo && a.hi == b.hi &&
+           a.scale == b.scale && a.shape == b.shape && a.mean == b.mean;
+  }
+  friend bool operator!=(const LifetimeSpec& a, const LifetimeSpec& b) {
+    return !(a == b);
+  }
 };
 
-/// Uniform lifetime over [lo, hi] rounds (the paper's range notation,
-/// e.g. Stable "1.5 - 3.5 years").
-class UniformLifetime : public LifetimeModel {
- public:
-  UniformLifetime(sim::Round lo, sim::Round hi);
-  sim::Round Sample(util::Rng* rng) const override;
-  double MeanRounds() const override;
-  std::string name() const override { return "uniform"; }
-
- private:
-  sim::Round lo_;
-  sim::Round hi_;
-};
-
-/// Pareto lifetime with minimum `scale` rounds and tail exponent `shape`.
-/// Under this model, expected residual lifetime grows linearly with age -
-/// the precise sense in which "the longer a peer has been in the system, the
-/// longer it is expected to stay".
-class ParetoLifetime : public LifetimeModel {
- public:
-  ParetoLifetime(double scale_rounds, double shape);
-  sim::Round Sample(util::Rng* rng) const override;
-  double MeanRounds() const override;
-  std::string name() const override { return "pareto"; }
-
-  double shape() const { return shape_; }
-  double scale() const { return scale_; }
-
- private:
-  double scale_;
-  double shape_;
-};
-
-/// Memoryless exponential lifetime (a pessimistic control: age carries no
-/// information, so lifetime-aware selection should show no benefit).
-class ExponentialLifetime : public LifetimeModel {
- public:
-  explicit ExponentialLifetime(double mean_rounds);
-  sim::Round Sample(util::Rng* rng) const override;
-  double MeanRounds() const override;
-  std::string name() const override { return "exponential"; }
-
- private:
-  double mean_;
-};
+/// Token maps for the text format ("unlimited", "uniform", ...).
+const char* LifetimeKindName(LifetimeKind kind);
+util::Result<LifetimeKind> LifetimeKindFromName(const std::string& name);
 
 }  // namespace churn
 }  // namespace p2p

@@ -4,49 +4,42 @@
 
 namespace p2p {
 namespace churn {
-namespace {
 
-Profile MakeProfile(std::string name, double proportion,
-                    std::shared_ptr<const LifetimeModel> lifetime,
-                    double availability, bool bernoulli) {
-  Profile p;
-  p.name = std::move(name);
-  p.proportion = proportion;
-  p.lifetime = std::move(lifetime);
-  p.availability = availability;
-  p.sessions = bernoulli ? SessionProcess::BernoulliRounds(availability)
-                         : SessionProcess::DiurnalSessions(availability);
-  return p;
+util::Status Profile::Validate() const {
+  if (name.empty()) {
+    return util::Status::InvalidArgument("profile needs a name");
+  }
+  if (proportion < 0.0 || proportion > 1.0) {
+    return util::Status::InvalidArgument(
+        "profile '" + name + "': proportion must be in [0, 1]");
+  }
+  if (availability <= 0.0 || availability >= 1.0) {
+    return util::Status::InvalidArgument(
+        "profile '" + name + "': availability must be in (0, 1)");
+  }
+  if (sessions == SessionKind::kDiurnal && session_cycle < 2) {
+    return util::Status::InvalidArgument(
+        "profile '" + name + "': session cycle must be >= 2 rounds");
+  }
+  util::Status life = lifetime.Validate();
+  if (!life.ok()) {
+    return util::Status::InvalidArgument("profile '" + name +
+                                         "': " + life.message());
+  }
+  return util::Status::OK();
 }
-
-std::vector<Profile> PaperProfiles(bool bernoulli) {
-  using sim::MonthsToRounds;
-  using sim::YearsToRounds;
-  std::vector<Profile> out;
-  out.push_back(MakeProfile("durable", 0.10,
-                            std::make_shared<UnlimitedLifetime>(), 0.95, bernoulli));
-  out.push_back(MakeProfile(
-      "stable", 0.25,
-      std::make_shared<UniformLifetime>(YearsToRounds(1.5), YearsToRounds(3.5)),
-      0.87, bernoulli));
-  out.push_back(MakeProfile(
-      "unstable", 0.30,
-      std::make_shared<UniformLifetime>(MonthsToRounds(3), MonthsToRounds(18)),
-      0.75, bernoulli));
-  out.push_back(MakeProfile(
-      "erratic", 0.35,
-      std::make_shared<UniformLifetime>(MonthsToRounds(1), MonthsToRounds(3)),
-      0.33, bernoulli));
-  return out;
-}
-
-}  // namespace
 
 ProfileSet::ProfileSet(std::vector<Profile> profiles)
     : profiles_(std::move(profiles)) {
+  sessions_.reserve(profiles_.size());
   cumulative_.reserve(profiles_.size());
   double acc = 0.0;
   for (const Profile& p : profiles_) {
+    sessions_.push_back(p.sessions == SessionKind::kBernoulli
+                            ? SessionProcess::BernoulliRounds(p.availability)
+                            : SessionProcess::DiurnalSessions(
+                                  p.availability,
+                                  static_cast<double>(p.session_cycle)));
     acc += p.proportion;
     cumulative_.push_back(acc);
   }
@@ -55,32 +48,17 @@ ProfileSet::ProfileSet(std::vector<Profile> profiles)
 
 util::Result<ProfileSet> ProfileSet::Create(std::vector<Profile> profiles) {
   if (profiles.empty()) {
-    return util::Status::InvalidArgument("profile set must not be empty");
+    return util::Status::InvalidArgument("population needs >= 1 profile");
   }
   double total = 0.0;
   for (const Profile& p : profiles) {
-    if (p.proportion < 0.0) {
-      return util::Status::InvalidArgument("negative profile proportion");
-    }
-    if (p.lifetime == nullptr) {
-      return util::Status::InvalidArgument("profile missing lifetime model");
-    }
+    P2P_RETURN_IF_ERROR(p.Validate());
     total += p.proportion;
   }
   if (std::abs(total - 1.0) > 1e-9) {
-    return util::Status::InvalidArgument("profile proportions must sum to 1");
+    return util::Status::InvalidArgument(
+        "profile proportions must sum to 1, got " + std::to_string(total));
   }
-  return ProfileSet(std::move(profiles));
-}
-
-ProfileSet ProfileSet::Paper() { return ProfileSet(PaperProfiles(false)); }
-
-ProfileSet ProfileSet::PaperBernoulli() { return ProfileSet(PaperProfiles(true)); }
-
-ProfileSet ProfileSet::ParetoMix(double scale_rounds, double shape) {
-  auto shared = std::make_shared<ParetoLifetime>(scale_rounds, shape);
-  std::vector<Profile> profiles = PaperProfiles(false);
-  for (Profile& p : profiles) p.lifetime = shared;
   return ProfileSet(std::move(profiles));
 }
 
@@ -90,6 +68,12 @@ uint32_t ProfileSet::SampleIndex(util::Rng* rng) const {
     if (u < cumulative_[i]) return static_cast<uint32_t>(i);
   }
   return static_cast<uint32_t>(cumulative_.size() - 1);
+}
+
+util::Result<SessionKind> SessionKindFromName(const std::string& name) {
+  if (name == "diurnal") return SessionKind::kDiurnal;
+  if (name == "bernoulli") return SessionKind::kBernoulli;
+  return util::Status::InvalidArgument("unknown session kind: '" + name + "'");
 }
 
 }  // namespace churn

@@ -50,10 +50,6 @@ void AvailabilityMonitor::RecordDeparture(PeerId peer, sim::Round now) {
   peers_[peer].departed = true;
 }
 
-bool AvailabilityMonitor::IsOnline(PeerId peer) const {
-  return peers_[peer].online_since >= 0;
-}
-
 sim::Round AvailabilityMonitor::LastSeen(PeerId peer, sim::Round now) const {
   const PeerHistory& h = peers_[peer];
   if (h.online_since >= 0) return now;
@@ -89,15 +85,6 @@ double AvailabilityMonitor::AvailabilityOver(PeerId peer, sim::Round window,
     online += now - std::max(h.online_since, lo);
   }
   return static_cast<double>(online) / static_cast<double>(window);
-}
-
-bool AvailabilityMonitor::PresumedDeparted(PeerId peer, sim::Round timeout,
-                                           sim::Round now) const {
-  const PeerHistory& h = peers_[peer];
-  if (h.departed) return true;
-  if (h.online_since >= 0) return false;
-  if (h.last_seen < 0) return h.first_seen >= 0 && now - h.first_seen > timeout;
-  return now - h.last_seen > timeout;
 }
 
 core::PeerObservation AvailabilityMonitor::Observe(PeerId peer,

@@ -4,9 +4,9 @@
 // given period of time, for example the last 90 days."
 //
 // In the simulation the monitor is fed connect/disconnect/join/departure
-// events and answers the queries the backup protocol needs: is a peer online,
-// when was it last seen, how old is it, and what fraction of a recent window
-// was it online. Session histories are stored per peer with running online
+// events and answers the queries the backup protocol needs: when was a peer
+// last seen, how old is it, and what fraction of a recent window was it
+// online. Session histories are stored per peer with running online
 // totals and pruned lazily, so event cost is proportional to churn and a
 // window query costs O(log sessions) (a binary search plus prefix-sum
 // arithmetic), not a scan of the whole window.
@@ -57,17 +57,12 @@ class AvailabilityMonitor {
 
   /// \name Queries (what the secure monitoring protocol would answer).
   /// @{
-  /// True while the peer is connected.
-  bool IsOnline(PeerId peer) const;
   /// Last round the peer was seen online (== now when online); -1 if never.
   sim::Round LastSeen(PeerId peer, sim::Round now) const;
   /// Rounds since first connection - the age `s` in the acceptance function.
   sim::Round Age(PeerId peer, sim::Round now) const;
   /// Fraction of (now - window, now] the peer was online, in [0, 1].
   double AvailabilityOver(PeerId peer, sim::Round window, sim::Round now) const;
-  /// True if the peer has been unreachable for more than `timeout` rounds -
-  /// the paper's definitive-departure presumption.
-  bool PresumedDeparted(PeerId peer, sim::Round timeout, sim::Round now) const;
   /// @}
 
   /// \name Estimator snapshots.

@@ -1,18 +1,19 @@
 #include "scenario/population.h"
 
-#include <cmath>
-
-#include "churn/availability.h"
-#include "churn/lifetime.h"
+#include "sim/clock.h"
 
 namespace p2p {
 namespace scenario {
 namespace {
 
-ProfileSpec MakeSpec(std::string name, double proportion, LifetimeSpec life,
-                     double availability, SessionKind sessions,
-                     sim::Round cycle = sim::kRoundsPerDay) {
-  ProfileSpec p;
+using churn::LifetimeSpec;
+using churn::SessionKind;
+
+churn::Profile MakeProfile(std::string name, double proportion,
+                           LifetimeSpec life, double availability,
+                           SessionKind sessions,
+                           sim::Round cycle = sim::kRoundsPerDay) {
+  churn::Profile p;
   p.name = std::move(name);
   p.proportion = proportion;
   p.availability = availability;
@@ -22,23 +23,31 @@ ProfileSpec MakeSpec(std::string name, double proportion, LifetimeSpec life,
   return p;
 }
 
-// The paper's four-profile table (section 4.1.1); the sessions knob is the
-// only difference between the "paper" and "bernoulli" worlds.
+// The paper's four-profile table (section 4.1.1):
+//
+//   Profile   Proportion  Life expectancy   Availability
+//   Durable   10%         unlimited         95%
+//   Stable    25%         1.5 - 3.5 years   87%
+//   Unstable  30%         3 - 18 months     75%
+//   Erratic   35%         1 - 3 months      33%
+//
+// The sessions knob is the only difference between the "paper" and
+// "bernoulli" worlds.
 PopulationSpec PaperTable(SessionKind sessions) {
   using sim::MonthsToRounds;
   using sim::YearsToRounds;
   PopulationSpec spec;
   spec.profiles.push_back(
-      MakeSpec("durable", 0.10, LifetimeSpec::Unlimited(), 0.95, sessions));
-  spec.profiles.push_back(MakeSpec(
+      MakeProfile("durable", 0.10, LifetimeSpec::Unlimited(), 0.95, sessions));
+  spec.profiles.push_back(MakeProfile(
       "stable", 0.25,
       LifetimeSpec::Uniform(YearsToRounds(1.5), YearsToRounds(3.5)), 0.87,
       sessions));
-  spec.profiles.push_back(MakeSpec(
+  spec.profiles.push_back(MakeProfile(
       "unstable", 0.30,
       LifetimeSpec::Uniform(MonthsToRounds(3), MonthsToRounds(18)), 0.75,
       sessions));
-  spec.profiles.push_back(MakeSpec(
+  spec.profiles.push_back(MakeProfile(
       "erratic", 0.35,
       LifetimeSpec::Uniform(MonthsToRounds(1), MonthsToRounds(3)), 0.33,
       sessions));
@@ -47,131 +56,10 @@ PopulationSpec PaperTable(SessionKind sessions) {
 
 }  // namespace
 
-LifetimeSpec LifetimeSpec::Unlimited() { return LifetimeSpec(); }
-
-LifetimeSpec LifetimeSpec::Uniform(sim::Round lo, sim::Round hi) {
-  LifetimeSpec s;
-  s.kind = LifetimeKind::kUniform;
-  s.lo = lo;
-  s.hi = hi;
-  return s;
-}
-
-LifetimeSpec LifetimeSpec::Pareto(double scale_rounds, double shape) {
-  LifetimeSpec s;
-  s.kind = LifetimeKind::kPareto;
-  s.scale = scale_rounds;
-  s.shape = shape;
-  return s;
-}
-
-LifetimeSpec LifetimeSpec::Exponential(double mean_rounds) {
-  LifetimeSpec s;
-  s.kind = LifetimeKind::kExponential;
-  s.mean = mean_rounds;
-  return s;
-}
-
-util::Status LifetimeSpec::Validate() const {
-  switch (kind) {
-    case LifetimeKind::kUnlimited:
-      return util::Status::OK();
-    case LifetimeKind::kUniform:
-      if (lo < 1 || hi < lo) {
-        return util::Status::InvalidArgument(
-            "uniform lifetime needs 1 <= lo <= hi, got [" + std::to_string(lo) +
-            ", " + std::to_string(hi) + "]");
-      }
-      return util::Status::OK();
-    case LifetimeKind::kPareto:
-      if (scale <= 0.0 || shape <= 0.0) {
-        return util::Status::InvalidArgument(
-            "pareto lifetime needs scale > 0 and shape > 0");
-      }
-      return util::Status::OK();
-    case LifetimeKind::kExponential:
-      if (mean <= 0.0) {
-        return util::Status::InvalidArgument(
-            "exponential lifetime needs mean > 0");
-      }
-      return util::Status::OK();
-  }
-  return util::Status::InvalidArgument("unknown lifetime kind");
-}
-
-std::shared_ptr<const churn::LifetimeModel> LifetimeSpec::Build() const {
-  switch (kind) {
-    case LifetimeKind::kUnlimited:
-      return std::make_shared<churn::UnlimitedLifetime>();
-    case LifetimeKind::kUniform:
-      return std::make_shared<churn::UniformLifetime>(lo, hi);
-    case LifetimeKind::kPareto:
-      return std::make_shared<churn::ParetoLifetime>(scale, shape);
-    case LifetimeKind::kExponential:
-      return std::make_shared<churn::ExponentialLifetime>(mean);
-  }
-  return std::make_shared<churn::UnlimitedLifetime>();
-}
-
-util::Status ProfileSpec::Validate() const {
-  if (name.empty()) {
-    return util::Status::InvalidArgument("profile needs a name");
-  }
-  if (proportion < 0.0 || proportion > 1.0) {
-    return util::Status::InvalidArgument(
-        "profile '" + name + "': proportion must be in [0, 1]");
-  }
-  if (availability <= 0.0 || availability >= 1.0) {
-    return util::Status::InvalidArgument(
-        "profile '" + name + "': availability must be in (0, 1)");
-  }
-  if (sessions == SessionKind::kDiurnal && session_cycle < 2) {
-    return util::Status::InvalidArgument(
-        "profile '" + name + "': session cycle must be >= 2 rounds");
-  }
-  util::Status life = lifetime.Validate();
-  if (!life.ok()) {
-    return util::Status::InvalidArgument("profile '" + name +
-                                         "': " + life.message());
-  }
-  return util::Status::OK();
-}
-
-churn::Profile ProfileSpec::Build() const {
-  churn::Profile p;
-  p.name = name;
-  p.proportion = proportion;
-  p.availability = availability;
-  p.lifetime = lifetime.Build();
-  p.sessions = sessions == SessionKind::kBernoulli
-                   ? churn::SessionProcess::BernoulliRounds(availability)
-                   : churn::SessionProcess::DiurnalSessions(
-                         availability, static_cast<double>(session_cycle));
-  return p;
-}
-
-util::Status PopulationSpec::Validate() const {
-  if (profiles.empty()) {
-    return util::Status::InvalidArgument("population needs >= 1 profile");
-  }
-  double total = 0.0;
-  for (const ProfileSpec& p : profiles) {
-    P2P_RETURN_IF_ERROR(p.Validate());
-    total += p.proportion;
-  }
-  if (std::abs(total - 1.0) > 1e-9) {
-    return util::Status::InvalidArgument(
-        "profile proportions must sum to 1, got " + std::to_string(total));
-  }
-  return util::Status::OK();
-}
+util::Status PopulationSpec::Validate() const { return Compile().status(); }
 
 util::Result<churn::ProfileSet> PopulationSpec::Compile() const {
-  P2P_RETURN_IF_ERROR(Validate());
-  std::vector<churn::Profile> built;
-  built.reserve(profiles.size());
-  for (const ProfileSpec& p : profiles) built.push_back(p.Build());
-  return churn::ProfileSet::Create(std::move(built));
+  return churn::ProfileSet::Create(profiles);
 }
 
 PopulationSpec PopulationSpec::Paper() {
@@ -184,7 +72,7 @@ PopulationSpec PopulationSpec::PaperBernoulli() {
 
 PopulationSpec PopulationSpec::ParetoMix(double scale_rounds, double shape) {
   PopulationSpec spec = PaperTable(SessionKind::kDiurnal);
-  for (ProfileSpec& p : spec.profiles) {
+  for (churn::Profile& p : spec.profiles) {
     p.lifetime = LifetimeSpec::Pareto(scale_rounds, shape);
   }
   return spec;
@@ -196,57 +84,19 @@ PopulationSpec PopulationSpec::WeekendHeavy() {
   PopulationSpec spec;
   // Machines switched on for the weekend and off during the work week: the
   // session cycle is a full week, so partners vanish for days at a time.
-  spec.profiles.push_back(MakeSpec(
+  spec.profiles.push_back(MakeProfile(
       "weekender", 0.45,
       LifetimeSpec::Uniform(MonthsToRounds(3), MonthsToRounds(18)), 0.30,
       SessionKind::kDiurnal, sim::kRoundsPerWeek));
-  spec.profiles.push_back(MakeSpec(
+  spec.profiles.push_back(MakeProfile(
       "evening", 0.35,
       LifetimeSpec::Uniform(MonthsToRounds(1), MonthsToRounds(6)), 0.50,
       SessionKind::kDiurnal));
-  spec.profiles.push_back(MakeSpec(
+  spec.profiles.push_back(MakeProfile(
       "always-on", 0.20,
       LifetimeSpec::Uniform(YearsToRounds(1), YearsToRounds(4)), 0.97,
       SessionKind::kDiurnal));
   return spec;
-}
-
-const char* LifetimeKindName(LifetimeKind kind) {
-  switch (kind) {
-    case LifetimeKind::kUnlimited:
-      return "unlimited";
-    case LifetimeKind::kUniform:
-      return "uniform";
-    case LifetimeKind::kPareto:
-      return "pareto";
-    case LifetimeKind::kExponential:
-      return "exponential";
-  }
-  return "unlimited";
-}
-
-util::Result<LifetimeKind> LifetimeKindFromName(const std::string& name) {
-  if (name == "unlimited") return LifetimeKind::kUnlimited;
-  if (name == "uniform") return LifetimeKind::kUniform;
-  if (name == "pareto") return LifetimeKind::kPareto;
-  if (name == "exponential") return LifetimeKind::kExponential;
-  return util::Status::InvalidArgument("unknown lifetime kind: '" + name + "'");
-}
-
-const char* SessionKindName(SessionKind kind) {
-  switch (kind) {
-    case SessionKind::kDiurnal:
-      return "diurnal";
-    case SessionKind::kBernoulli:
-      return "bernoulli";
-  }
-  return "diurnal";
-}
-
-util::Result<SessionKind> SessionKindFromName(const std::string& name) {
-  if (name == "diurnal") return SessionKind::kDiurnal;
-  if (name == "bernoulli") return SessionKind::kBernoulli;
-  return util::Status::InvalidArgument("unknown session kind: '" + name + "'");
 }
 
 }  // namespace scenario

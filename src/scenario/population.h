@@ -1,102 +1,28 @@
-// Declarative peer populations: the data form of churn::ProfileSet.
+// Declarative peer populations.
 //
-// A PopulationSpec is a plain list of profile descriptions - name,
-// population share, lifetime model + parameters, session process - that
-// compiles into the churn::ProfileSet the simulation runs on. Where the old
-// sweep::ProfileMix enum offered exactly three hardcoded worlds, a spec can
-// describe any mix (the heterogeneity studies of Skowron & Rzadca, the
-// adaptive-redundancy regimes of Dell'Amico et al., ...) without touching
-// C++: specs travel through the scenario text format (text.h) and the
-// registry (registry.h).
-//
-// Compiling the built-in Paper()/PaperBernoulli()/ParetoMix() specs yields
-// profile sets identical in behaviour to the churn::ProfileSet factories of
-// the same names - the byte-for-byte equivalence is locked by a test.
+// A PopulationSpec is a plain list of churn::Profile descriptions - name,
+// population share, lifetime law, session process - that compiles into the
+// churn::ProfileSet the simulation runs on. Where the old sweep::ProfileMix
+// enum offered exactly three hardcoded worlds, a spec can describe any mix
+// (the heterogeneity studies of Skowron & Rzadca, the adaptive-redundancy
+// regimes of Dell'Amico et al., ...) without touching C++: specs travel
+// through the scenario text format (text.h) and the registry (registry.h).
 
 #ifndef P2P_SCENARIO_POPULATION_H_
 #define P2P_SCENARIO_POPULATION_H_
 
-#include <string>
 #include <vector>
 
 #include "churn/profile.h"
-#include "sim/clock.h"
 #include "util/result.h"
 #include "util/status.h"
 
 namespace p2p {
 namespace scenario {
 
-/// Which lifetime distribution a profile draws from.
-enum class LifetimeKind {
-  kUnlimited,    ///< never departs (paper's Durable)
-  kUniform,      ///< uniform over [lo, hi] rounds (paper's range notation)
-  kPareto,       ///< heavy-tailed Pareto(scale, shape)
-  kExponential,  ///< memoryless control (age carries no information)
-};
-
-/// \brief Lifetime model description; parameters by kind (see factories).
-struct LifetimeSpec {
-  LifetimeKind kind = LifetimeKind::kUnlimited;
-  sim::Round lo = 0;    ///< kUniform: lower bound (rounds)
-  sim::Round hi = 0;    ///< kUniform: upper bound (rounds)
-  double scale = 0.0;   ///< kPareto: minimum lifetime (rounds)
-  double shape = 0.0;   ///< kPareto: tail exponent
-  double mean = 0.0;    ///< kExponential: mean (rounds)
-
-  static LifetimeSpec Unlimited();
-  static LifetimeSpec Uniform(sim::Round lo, sim::Round hi);
-  static LifetimeSpec Pareto(double scale_rounds, double shape);
-  static LifetimeSpec Exponential(double mean_rounds);
-
-  util::Status Validate() const;
-
-  /// Builds the churn model; requires Validate().ok().
-  std::shared_ptr<const churn::LifetimeModel> Build() const;
-
-  friend bool operator==(const LifetimeSpec& a, const LifetimeSpec& b) {
-    return a.kind == b.kind && a.lo == b.lo && a.hi == b.hi &&
-           a.scale == b.scale && a.shape == b.shape && a.mean == b.mean;
-  }
-  friend bool operator!=(const LifetimeSpec& a, const LifetimeSpec& b) {
-    return !(a == b);
-  }
-};
-
-/// Which on/off session process realizes a profile's availability.
-enum class SessionKind {
-  kDiurnal,    ///< alternating sessions with a fixed mean cycle (default 1 day)
-  kBernoulli,  ///< independent per-round coin
-};
-
-/// \brief One behaviour class, in data form.
-struct ProfileSpec {
-  std::string name;
-  double proportion = 0.0;    ///< population share in [0, 1]
-  double availability = 0.0;  ///< stationary online probability in (0, 1)
-  LifetimeSpec lifetime;
-  SessionKind sessions = SessionKind::kDiurnal;
-  /// kDiurnal: mean on+off cycle length in rounds.
-  sim::Round session_cycle = sim::kRoundsPerDay;
-
-  util::Status Validate() const;
-
-  /// Builds the churn profile; requires Validate().ok().
-  churn::Profile Build() const;
-
-  friend bool operator==(const ProfileSpec& a, const ProfileSpec& b) {
-    return a.name == b.name && a.proportion == b.proportion &&
-           a.availability == b.availability && a.lifetime == b.lifetime &&
-           a.sessions == b.sessions && a.session_cycle == b.session_cycle;
-  }
-  friend bool operator!=(const ProfileSpec& a, const ProfileSpec& b) {
-    return !(a == b);
-  }
-};
-
 /// \brief A complete population: profile shares must sum to 1.
 struct PopulationSpec {
-  std::vector<ProfileSpec> profiles;
+  std::vector<churn::Profile> profiles;
 
   /// Checks each profile and the proportion sum.
   util::Status Validate() const;
@@ -123,12 +49,6 @@ struct PopulationSpec {
     return !(a == b);
   }
 };
-
-/// Token maps for the text format ("unlimited", "uniform", ...).
-const char* LifetimeKindName(LifetimeKind kind);
-util::Result<LifetimeKind> LifetimeKindFromName(const std::string& name);
-const char* SessionKindName(SessionKind kind);
-util::Result<SessionKind> SessionKindFromName(const std::string& name);
 
 }  // namespace scenario
 }  // namespace p2p

@@ -15,6 +15,10 @@ namespace p2p {
 namespace scenario {
 namespace {
 
+using churn::LifetimeKind;
+using churn::LifetimeSpec;
+using churn::SessionKind;
+
 util::Status Err(int line, const std::string& msg) {
   return util::Status::InvalidArgument("line " + std::to_string(line) + ": " +
                                        msg);
@@ -64,7 +68,8 @@ util::Result<LifetimeSpec> ParseLifetime(const std::string& value) {
   std::string head;
   std::vector<std::string> args;
   P2P_RETURN_IF_ERROR(SplitCall(value, &head, &args));
-  P2P_ASSIGN_OR_RETURN(const LifetimeKind kind, LifetimeKindFromName(head));
+  P2P_ASSIGN_OR_RETURN(const LifetimeKind kind,
+                       churn::LifetimeKindFromName(head));
   auto want = [&](size_t n) {
     return args.size() == n
                ? util::Status::OK()
@@ -118,11 +123,11 @@ std::string RenderLifetime(const LifetimeSpec& spec) {
 }
 
 // "diurnal", "diurnal(1w)" (session cycle), or "bernoulli".
-util::Status ParseSessions(const std::string& value, ProfileSpec* profile) {
+util::Status ParseSessions(const std::string& value, churn::Profile* profile) {
   std::string head;
   std::vector<std::string> args;
   P2P_RETURN_IF_ERROR(SplitCall(value, &head, &args));
-  P2P_ASSIGN_OR_RETURN(profile->sessions, SessionKindFromName(head));
+  P2P_ASSIGN_OR_RETURN(profile->sessions, churn::SessionKindFromName(head));
   if (profile->sessions == SessionKind::kBernoulli) {
     if (!args.empty()) {
       return util::Status::InvalidArgument("bernoulli takes no arguments");
@@ -141,7 +146,7 @@ util::Status ParseSessions(const std::string& value, ProfileSpec* profile) {
   return util::Status::OK();
 }
 
-std::string RenderSessions(const ProfileSpec& profile) {
+std::string RenderSessions(const churn::Profile& profile) {
   if (profile.sessions == SessionKind::kBernoulli) return "bernoulli";
   if (profile.session_cycle == sim::kRoundsPerDay) return "diurnal";
   return std::string("diurnal(") + RenderDuration(profile.session_cycle) + ")";
@@ -261,7 +266,7 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
   Scenario scenario;
   scenario.name.clear();  // required key; the default would mask its absence
 
-  std::map<int, ProfileSpec> profiles;
+  std::map<int, churn::Profile> profiles;
   std::map<int, WorkloadEvent> events;
   std::map<int, std::pair<std::string, sim::Round>> observers;
   std::map<int, std::set<std::string>> profile_fields;
@@ -332,7 +337,7 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
       if (!ik.ok()) {
         st = ik.status();
       } else {
-        ProfileSpec& p = profiles[ik->index];
+        churn::Profile& p = profiles[ik->index];
         profile_fields[ik->index].insert(ik->field);
         if (ik->field == "name") {
           p.name = value;
@@ -490,7 +495,7 @@ std::string RenderScenarioText(const Scenario& scenario) {
   }
 
   for (size_t i = 0; i < scenario.population.profiles.size(); ++i) {
-    const ProfileSpec& p = scenario.population.profiles[i];
+    const churn::Profile& p = scenario.population.profiles[i];
     const std::string prefix = "profile." + std::to_string(i) + ".";
     os << "\n";
     os << prefix << "name = " << p.name << "\n";

@@ -97,6 +97,33 @@ util::Result<std::vector<backup::PopulationAdjustment>> CompileWorkload(
     const WorkloadSchedule& schedule, uint32_t num_peers) {
   P2P_RETURN_IF_ERROR(schedule.Validate());
 
+  // Sum the counts in 64 bits before building any adjustment. Each join
+  // takes an id of its own, and no schedule removes more peers than it ever
+  // has: past either bound a count would wrap its uint32_t, and a long ramp
+  // would first build one adjustment per peer.
+  uint64_t slots = num_peers;
+  uint64_t exits = 0;
+  for (const WorkloadEvent& e : schedule.events) {
+    const auto count =
+        static_cast<uint64_t>(FractionToCount(e.fraction, num_peers));
+    if (e.kind == WorkloadKind::kMassExit || e.fraction < 0.0) {
+      exits += count;
+    } else {
+      slots += count;
+    }
+  }
+  if (slots > backup::kMaxNormalSlots) {
+    return util::Status::InvalidArgument(
+        "workload needs " + std::to_string(slots) +
+        " peer ids for its peers plus scheduled joins, more than the " +
+        std::to_string(backup::kMaxNormalSlots) + " a network has");
+  }
+  if (exits > slots) {
+    return util::Status::InvalidArgument(
+        "workload removes " + std::to_string(exits) +
+        " peers, more than the " + std::to_string(slots) + " it ever has");
+  }
+
   std::vector<backup::PopulationAdjustment> out;
   for (const WorkloadEvent& e : schedule.events) {
     const int64_t total = FractionToCount(e.fraction, num_peers);

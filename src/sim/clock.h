@@ -24,9 +24,6 @@ constexpr Round kRoundsPerWeek = 7 * kRoundsPerDay;
 constexpr Round kRoundsPerMonth = 30 * kRoundsPerDay;
 constexpr Round kRoundsPerYear = 365 * kRoundsPerDay;
 
-constexpr Round HoursToRounds(double hours) {
-  return static_cast<Round>(hours * kRoundsPerHour + 0.5);
-}
 constexpr Round DaysToRounds(double days) {
   return static_cast<Round>(days * kRoundsPerDay + 0.5);
 }

@@ -6,12 +6,8 @@ namespace p2p {
 namespace util {
 namespace {
 
-LogLevel g_level = LogLevel::kInfo;
-
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
     case LogLevel::kInfo:
       return "INFO";
     case LogLevel::kWarn:
@@ -24,12 +20,7 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
-
-LogLevel GetLogLevel() { return g_level; }
-
 void Logf(LogLevel level, const char* fmt, ...) {
-  if (level < g_level) return;
   std::fprintf(stderr, "[%s] ", LevelName(level));
   va_list ap;
   va_start(ap, fmt);

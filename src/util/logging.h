@@ -11,15 +11,9 @@ namespace p2p {
 namespace util {
 
 /// Severity levels in increasing order of importance.
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
+enum class LogLevel { kInfo, kWarn, kError };
 
-/// Sets the minimum level that is emitted (default kInfo).
-void SetLogLevel(LogLevel level);
-
-/// Returns the current minimum level.
-LogLevel GetLogLevel();
-
-/// Emits one formatted log line to stderr if `level` passes the threshold.
+/// Emits one formatted log line to stderr.
 void Logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
 /// Prints the failure and aborts; used by the P2P_CHECK macros.
@@ -28,7 +22,6 @@ void Logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2,
 }  // namespace util
 }  // namespace p2p
 
-#define P2P_LOG_DEBUG(...) ::p2p::util::Logf(::p2p::util::LogLevel::kDebug, __VA_ARGS__)
 #define P2P_LOG_INFO(...) ::p2p::util::Logf(::p2p::util::LogLevel::kInfo, __VA_ARGS__)
 #define P2P_LOG_WARN(...) ::p2p::util::Logf(::p2p::util::LogLevel::kWarn, __VA_ARGS__)
 #define P2P_LOG_ERROR(...) ::p2p::util::Logf(::p2p::util::LogLevel::kError, __VA_ARGS__)

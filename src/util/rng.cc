@@ -22,16 +22,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& w : s_) w = SplitMix64(&sm);
 }
 
-Rng::State Rng::state() const {
-  State st;
-  for (int i = 0; i < 4; ++i) st.s[i] = s_[i];
-  return st;
-}
-
-void Rng::set_state(const State& state) {
-  for (int i = 0; i < 4; ++i) s_[i] = state.s[i];
-}
-
 double Rng::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }

@@ -127,20 +127,6 @@ class Rng {
     }
   }
 
-  /// Opaque generator state snapshot (see state()/set_state()).
-  struct State {
-    uint64_t s[4];
-  };
-
-  /// Captures the current state. Together with set_state() this lets a
-  /// consumer replay a stretch of draws exactly: save, draw speculatively,
-  /// restore, and the same values come out again. Not for reuse/forking
-  /// streams: replaying a state re-emits the same values by design.
-  State state() const;
-
-  /// Restores a snapshot taken from this (or an identically seeded) Rng.
-  void set_state(const State& state);
-
   /// Returns a double uniform in [lo, hi).
   double UniformDouble(double lo, double hi);
 

@@ -17,23 +17,6 @@ void RunningStat::Add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const int64_t n = count_ + other.count_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / static_cast<double>(n);
-  mean_ += delta * static_cast<double>(other.count_) / static_cast<double>(n);
-  sum_ += other.sum_;
-  count_ = n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStat::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
@@ -76,36 +59,6 @@ double Histogram::Quantile(double q) const {
     cum += c;
   }
   return bucket_lo(bins());  // everything left is overflow
-}
-
-std::string Histogram::ToAscii(int max_width) const {
-  int64_t peak = 1;
-  for (int i = 0; i < bins(); ++i) peak = std::max(peak, bucket(i));
-  std::string out;
-  char line[160];
-  for (int i = 0; i < bins(); ++i) {
-    const int w = static_cast<int>(bucket(i) * max_width / peak);
-    std::snprintf(line, sizeof(line), "[%10.3f, %10.3f) %8lld |",
-                  bucket_lo(i), bucket_lo(i + 1),
-                  static_cast<long long>(bucket(i)));
-    out += line;
-    out.append(static_cast<size_t>(w), '#');
-    out += '\n';
-  }
-  return out;
-}
-
-double QuantileSketch::Quantile(double q) const {
-  if (values_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const size_t rank = static_cast<size_t>(
-      std::min<double>(q * static_cast<double>(values_.size()),
-                       static_cast<double>(values_.size() - 1)));
-  return values_[rank];
 }
 
 }  // namespace util

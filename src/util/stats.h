@@ -4,9 +4,9 @@
 #ifndef P2P_UTIL_STATS_H_
 #define P2P_UTIL_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace p2p {
@@ -17,9 +17,6 @@ class RunningStat {
  public:
   /// Adds one observation.
   void Add(double x);
-
-  /// Merges another accumulator into this one (parallel Welford).
-  void Merge(const RunningStat& other);
 
   /// Number of observations added so far.
   int64_t count() const { return count_; }
@@ -71,33 +68,11 @@ class Histogram {
   /// Estimates quantile `q` in [0,1] by linear interpolation within buckets.
   double Quantile(double q) const;
 
-  /// Multi-line ASCII rendering, for quick looks in example binaries.
-  std::string ToAscii(int max_width = 60) const;
-
  private:
   double lo_;
   double width_;
   int64_t count_ = 0;
   std::vector<int64_t> counts_;  // [underflow, b0..b{n-1}, overflow]
-};
-
-/// \brief Exact quantiles over a retained sample (for modest result sets).
-class QuantileSketch {
- public:
-  /// Records one observation (kept in memory).
-  void Add(double x) {
-    values_.push_back(x);
-    sorted_ = false;
-  }
-  /// Number of observations.
-  int64_t count() const { return static_cast<int64_t>(values_.size()); }
-  /// Returns quantile `q` in [0,1] using nearest-rank on the sorted sample;
-  /// 0 when empty.
-  double Quantile(double q) const;
-
- private:
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = false;
 };
 
 }  // namespace util

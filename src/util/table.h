@@ -34,9 +34,6 @@ class Table {
   void Add(double v, int precision = 4);
   /// @}
 
-  /// Number of complete + in-progress rows.
-  size_t row_count() const { return rows_.size(); }
-
   /// Renders an aligned, boxed, human-readable table.
   void RenderPretty(std::ostream& os) const;
 

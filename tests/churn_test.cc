@@ -1,13 +1,17 @@
 // Churn model tests: lifetime distributions, availability processes and the
 // paper's profile table.
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 
 #include <gtest/gtest.h>
 
 #include "churn/availability.h"
 #include "churn/lifetime.h"
 #include "churn/profile.h"
+#include "scenario/population.h"
 #include "util/rng.h"
 
 namespace p2p {
@@ -15,13 +19,13 @@ namespace churn {
 namespace {
 
 TEST(LifetimeTest, UnlimitedNeverDeparts) {
-  UnlimitedLifetime life;
+  const LifetimeSpec life = LifetimeSpec::Unlimited();
   util::Rng rng(1);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(life.Sample(&rng), sim::kNever);
 }
 
 TEST(LifetimeTest, UniformWithinRange) {
-  UniformLifetime life(100, 200);
+  const LifetimeSpec life = LifetimeSpec::Uniform(100, 200);
   util::Rng rng(2);
   double sum = 0;
   for (int i = 0; i < 50'000; ++i) {
@@ -35,7 +39,7 @@ TEST(LifetimeTest, UniformWithinRange) {
 }
 
 TEST(LifetimeTest, ExponentialMean) {
-  ExponentialLifetime life(500.0);
+  const LifetimeSpec life = LifetimeSpec::Exponential(500.0);
   util::Rng rng(3);
   double sum = 0;
   for (int i = 0; i < 100'000; ++i) sum += static_cast<double>(life.Sample(&rng));
@@ -45,7 +49,7 @@ TEST(LifetimeTest, ExponentialMean) {
 TEST(LifetimeTest, ParetoResidualGrowsWithAge) {
   // The paper's fidelity property: among Pareto lifetimes, survivors to age
   // a have expected residual life increasing in a. Verify empirically.
-  ParetoLifetime life(24.0, 1.5);
+  const LifetimeSpec life = LifetimeSpec::Pareto(24.0, 1.5);
   util::Rng rng(4);
   double young_residual = 0, old_residual = 0;
   int young_n = 0, old_n = 0;
@@ -63,6 +67,65 @@ TEST(LifetimeTest, ParetoResidualGrowsWithAge) {
   ASSERT_GT(young_n, 1000);
   ASSERT_GT(old_n, 100);
   EXPECT_GT(old_residual / old_n, 3.0 * young_residual / young_n);
+}
+
+TEST(LifetimeTest, SampleMakesTheLawsRngCallsDrawForDraw) {
+  // Each law against the explicit Rng calls it stands for, on a
+  // twin-seeded generator. The Pareto and exponential parameters put many
+  // draws on the kNever cap and the >= 1 clamp.
+  struct Case {
+    LifetimeSpec life;
+    std::function<sim::Round(util::Rng*)> draw;
+  };
+  const Case cases[] = {
+      {LifetimeSpec::Unlimited(),
+       [](util::Rng* rng) {
+         rng->NextDouble();
+         return sim::kNever;
+       }},
+      {LifetimeSpec::Uniform(100, 200),
+       [](util::Rng* rng) { return rng->UniformInt(100, 200); }},
+      {LifetimeSpec::Pareto(0.5, 0.05),
+       [](util::Rng* rng) {
+         const double v = rng->Pareto(0.5, 0.05);
+         if (v >= static_cast<double>(sim::kNever)) return sim::kNever;
+         return std::max<sim::Round>(1, static_cast<sim::Round>(v));
+       }},
+      {LifetimeSpec::Exponential(2.0),
+       [](util::Rng* rng) {
+         return std::max<sim::Round>(
+             1, static_cast<sim::Round>(rng->Exponential(2.0)));
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(LifetimeKindName(c.life.kind));
+    util::Rng rng(11), twin(11);
+    int capped = 0, clamped = 0;
+    for (int i = 0; i < 20'000; ++i) {
+      const sim::Round got = c.life.Sample(&rng);
+      ASSERT_EQ(got, c.draw(&twin)) << "draw " << i;
+      capped += got == sim::kNever;
+      clamped += got == 1;
+    }
+    for (int i = 0; i < 32; ++i) ASSERT_EQ(rng.NextU64(), twin.NextU64());
+    if (c.life.kind == LifetimeKind::kPareto) {
+      EXPECT_GT(capped, 0);
+      EXPECT_GT(clamped, 0);
+    }
+    if (c.life.kind == LifetimeKind::kExponential) {
+      EXPECT_GT(clamped, 0);
+    }
+  }
+}
+
+TEST(LifetimeTest, DrawsPastTheLastRoundNeverDepart) {
+  // Means this long put every draw beyond sim::kNever; the lifetime is
+  // capped there rather than cast out of range.
+  util::Rng rng(12);
+  for (const LifetimeSpec& life :
+       {LifetimeSpec::Exponential(1e300), LifetimeSpec::Pareto(1e300, 2.0)}) {
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(life.Sample(&rng), sim::kNever);
+  }
 }
 
 TEST(AvailabilityTest, StationaryShareMatchesNominal) {
@@ -104,7 +167,7 @@ TEST(AvailabilityTest, SessionLengthsAtLeastOneRound) {
 }
 
 TEST(ProfileTest, PaperTableValues) {
-  const ProfileSet set = ProfileSet::Paper();
+  const ProfileSet set = *scenario::PopulationSpec::Paper().Compile();
   ASSERT_EQ(set.size(), 4u);
   EXPECT_EQ(set[0].name, "durable");
   EXPECT_DOUBLE_EQ(set[0].proportion, 0.10);
@@ -119,21 +182,21 @@ TEST(ProfileTest, PaperTableValues) {
 }
 
 TEST(ProfileTest, PaperLifetimeRanges) {
-  const ProfileSet set = ProfileSet::Paper();
+  const ProfileSet set = *scenario::PopulationSpec::Paper().Compile();
   util::Rng rng(7);
-  EXPECT_EQ(set[0].lifetime->Sample(&rng), sim::kNever);
+  EXPECT_EQ(set[0].lifetime.Sample(&rng), sim::kNever);
   for (int i = 0; i < 1000; ++i) {
-    const sim::Round stable = set[1].lifetime->Sample(&rng);
+    const sim::Round stable = set[1].lifetime.Sample(&rng);
     EXPECT_GE(stable, sim::YearsToRounds(1.5));
     EXPECT_LE(stable, sim::YearsToRounds(3.5));
-    const sim::Round erratic = set[3].lifetime->Sample(&rng);
+    const sim::Round erratic = set[3].lifetime.Sample(&rng);
     EXPECT_GE(erratic, sim::MonthsToRounds(1));
     EXPECT_LE(erratic, sim::MonthsToRounds(3));
   }
 }
 
 TEST(ProfileTest, SamplingMatchesProportions) {
-  const ProfileSet set = ProfileSet::Paper();
+  const ProfileSet set = *scenario::PopulationSpec::Paper().Compile();
   util::Rng rng(8);
   std::array<int, 4> counts{};
   const int trials = 200'000;
@@ -145,26 +208,29 @@ TEST(ProfileTest, SamplingMatchesProportions) {
 }
 
 TEST(ProfileTest, CreateValidation) {
-  EXPECT_TRUE(ProfileSet::Create({}).status().IsInvalidArgument());
+  EXPECT_EQ(ProfileSet::Create({}).status().message(),
+            "population needs >= 1 profile");
   Profile p;
   p.name = "x";
   p.proportion = 0.5;  // does not sum to 1
-  p.lifetime = std::make_shared<UnlimitedLifetime>();
-  p.sessions = SessionProcess::DiurnalSessions(0.5);
-  EXPECT_TRUE(ProfileSet::Create({p}).status().IsInvalidArgument());
+  p.availability = 0.5;
+  EXPECT_EQ(ProfileSet::Create({p}).status().message(),
+            "profile proportions must sum to 1, got 0.500000");
   Profile q = p;
-  q.proportion = 0.5;
+  q.name = "y";
   EXPECT_TRUE(ProfileSet::Create({p, q}).ok());
-  Profile bad = p;
-  bad.lifetime = nullptr;
-  EXPECT_TRUE(ProfileSet::Create({p, bad}).status().IsInvalidArgument());
+  Profile bad = q;
+  bad.lifetime = LifetimeSpec::Uniform(0, 10);
+  EXPECT_EQ(ProfileSet::Create({p, bad}).status().message(),
+            "profile 'y': uniform lifetime needs 1 <= lo <= hi, got [0, 10]");
 }
 
-TEST(ProfileTest, ParetoMixSharesLifetimeModel) {
-  const ProfileSet set = ProfileSet::ParetoMix(24.0, 1.2);
+TEST(ProfileTest, ParetoMixReplacesEveryLifetime) {
+  const ProfileSet set =
+      *scenario::PopulationSpec::ParetoMix(24.0, 1.2).Compile();
   ASSERT_EQ(set.size(), 4u);
   for (size_t i = 0; i < set.size(); ++i) {
-    EXPECT_EQ(set[i].lifetime->name(), "pareto");
+    EXPECT_EQ(set[i].lifetime, LifetimeSpec::Pareto(24.0, 1.2));
   }
   // Availability mix still follows the paper table.
   EXPECT_DOUBLE_EQ(set[3].availability, 0.33);

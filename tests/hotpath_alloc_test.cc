@@ -17,6 +17,7 @@
 #include "backup/network.h"
 #include "backup/options.h"
 #include "churn/profile.h"
+#include "scenario/population.h"
 #include "sim/engine.h"
 #include "transfer/scheduler.h"
 
@@ -132,7 +133,7 @@ PeerId FindRepairablePeer(const BackupNetwork& network, PeerId after) {
 
 TEST(HotPathAllocTest, BuildPoolAndSelectionAreAllocationFree) {
   P2P_SKIP_IF_NO_ALLOC_COUNTING();
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.seed = 7;
   eopts.end_round = 500;
@@ -170,7 +171,7 @@ TEST(HotPathAllocTest, StormShapedEpisodesAreAllocationFree) {
   // shape has sized the scratch, sampling, the rank permutation and the
   // packed rank keys stay off the heap.
   P2P_SKIP_IF_NO_ALLOC_COUNTING();
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.seed = 5;
   eopts.end_round = 100;
@@ -204,7 +205,7 @@ TEST(HotPathAllocTest, StormShapedEpisodesAreAllocationFree) {
 
 TEST(HotPathAllocTest, SteadyStateEpisodesAreAllocationFree) {
   P2P_SKIP_IF_NO_ALLOC_COUNTING();
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.seed = 11;
   eopts.end_round = 500;
@@ -244,7 +245,7 @@ TEST(HotPathAllocTest, IndexMaintenanceNeverReallocates) {
   // that empties a third of it and a join wave that refills it - never touch
   // the heap. Capacity identity across the storm is the witness: a single
   // reallocation anywhere would change it.
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.seed = 13;
   eopts.end_round = 900;
@@ -269,7 +270,7 @@ TEST(HotPathAllocTest, IndexMaintenanceNeverReallocates) {
 
 TEST(HotPathAllocTest, RoundLoopAllocationsDoNotScaleWithEpisodes) {
   P2P_SKIP_IF_NO_ALLOC_COUNTING();
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.seed = 7;
   eopts.end_round = 1400;

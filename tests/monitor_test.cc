@@ -14,16 +14,6 @@ namespace p2p {
 namespace monitor {
 namespace {
 
-TEST(MonitorTest, OnlineStateTracksEvents) {
-  AvailabilityMonitor mon(4);
-  mon.RecordJoin(0, 10);
-  EXPECT_FALSE(mon.IsOnline(0));
-  mon.RecordConnect(0, 10);
-  EXPECT_TRUE(mon.IsOnline(0));
-  mon.RecordDisconnect(0, 20);
-  EXPECT_FALSE(mon.IsOnline(0));
-}
-
 TEST(MonitorTest, LastSeenAndAge) {
   AvailabilityMonitor mon(4);
   mon.RecordJoin(1, 5);
@@ -59,26 +49,6 @@ TEST(MonitorTest, OngoingSessionCounted) {
   EXPECT_NEAR(mon.AvailabilityOver(0, 20, 100), 0.5, 1e-9);  // online 10 of 20
 }
 
-TEST(MonitorTest, PresumedDepartureAfterTimeout) {
-  AvailabilityMonitor mon(2);
-  mon.RecordJoin(0, 0);
-  mon.RecordConnect(0, 0);
-  mon.RecordDisconnect(0, 10);
-  EXPECT_FALSE(mon.PresumedDeparted(0, 24, 20));  // only 10 rounds silent
-  EXPECT_TRUE(mon.PresumedDeparted(0, 24, 40));   // 30 rounds silent
-  mon.RecordConnect(0, 41);
-  EXPECT_FALSE(mon.PresumedDeparted(0, 24, 60));  // back online
-}
-
-TEST(MonitorTest, TrueDepartureIsFinal) {
-  AvailabilityMonitor mon(2);
-  mon.RecordJoin(0, 0);
-  mon.RecordConnect(0, 0);
-  mon.RecordDeparture(0, 5);
-  EXPECT_TRUE(mon.PresumedDeparted(0, 1000, 6));
-  EXPECT_FALSE(mon.IsOnline(0));
-}
-
 TEST(MonitorTest, RejoinResetsHistory) {
   AvailabilityMonitor mon(2);
   mon.RecordJoin(0, 0);
@@ -86,7 +56,6 @@ TEST(MonitorTest, RejoinResetsHistory) {
   mon.RecordDeparture(0, 50);
   mon.RecordJoin(0, 100);  // id recycled
   EXPECT_EQ(mon.Age(0, 110), 10);
-  EXPECT_FALSE(mon.PresumedDeparted(0, 24, 110));
   EXPECT_DOUBLE_EQ(mon.AvailabilityOver(0, 100, 110), 0.0);
 }
 
@@ -112,9 +81,7 @@ TEST(MonitorTest, IdRecyclingFullyResetsHistory) {
   mon.RecordJoin(0, 100);  // id recycled for a brand-new machine
   EXPECT_EQ(mon.Age(0, 100), 0);
   EXPECT_EQ(mon.Age(0, 150), 50);
-  EXPECT_FALSE(mon.IsOnline(0));
   EXPECT_EQ(mon.LastSeen(0, 150), -1);  // never seen online
-  EXPECT_FALSE(mon.PresumedDeparted(0, 1000, 150));
   EXPECT_DOUBLE_EQ(mon.AvailabilityOver(0, 100, 150), 0.0);
   const auto fresh = mon.Observe(0, 100, 150);
   EXPECT_EQ(fresh.age, 50);

@@ -10,6 +10,7 @@
 #include "backup/network.h"
 #include "backup/options.h"
 #include "churn/profile.h"
+#include "scenario/population.h"
 #include "sim/engine.h"
 
 namespace p2p {
@@ -76,7 +77,7 @@ TEST(NetworkTest, BootstrapsAndBacksUpEveryone) {
   sim::EngineOptions eopts;
   eopts.end_round = 200;
   sim::Engine engine(eopts);
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   BackupNetwork network(&engine, &profiles, SmallOptions());
   engine.Run();
   const auto pop = network.ComputePopulationStats();
@@ -89,7 +90,7 @@ TEST(NetworkTest, BootstrapsAndBacksUpEveryone) {
 }
 
 TEST(NetworkTest, DeterministicForSeed) {
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   const auto a = RunSmall(SmallOptions(), 3000, 7, profiles, 1);
   const auto b = RunSmall(SmallOptions(), 3000, 7, profiles, 1);
   EXPECT_EQ(a.repairs, b.repairs);
@@ -99,7 +100,7 @@ TEST(NetworkTest, DeterministicForSeed) {
 }
 
 TEST(NetworkTest, SeedChangesOutcome) {
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   const auto a = RunSmall(SmallOptions(), 3000, 7, profiles, 1);
   const auto b = RunSmall(SmallOptions(), 3000, 8, profiles, 1);
   EXPECT_NE(a.blocks_uploaded, b.blocks_uploaded);
@@ -108,7 +109,7 @@ TEST(NetworkTest, SeedChangesOutcome) {
 TEST(NetworkTest, InvariantsHoldInTimeoutMode) {
   SystemOptions opts = SmallOptions();
   opts.visibility = VisibilityModel::kTimeoutPresumed;
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   const auto r = RunSmall(opts, 5000, 11, profiles, 8);
   EXPECT_GT(r.repairs, 0);
 }
@@ -116,14 +117,14 @@ TEST(NetworkTest, InvariantsHoldInTimeoutMode) {
 TEST(NetworkTest, InvariantsHoldInInstantMode) {
   SystemOptions opts = SmallOptions();
   opts.visibility = VisibilityModel::kInstantOnline;
-  const auto profiles = churn::ProfileSet::PaperBernoulli();
+  const auto profiles = *scenario::PopulationSpec::PaperBernoulli().Compile();
   const auto r = RunSmall(opts, 5000, 12, profiles, 8);
   EXPECT_GT(r.repairs, 0);
 }
 
 TEST(NetworkTest, DeparturesAreReplacedAndSevered) {
   SystemOptions opts = SmallOptions();
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.end_round = sim::MonthsToRounds(4);  // beyond erratic lifetimes
   eopts.seed = 3;
@@ -137,7 +138,7 @@ TEST(NetworkTest, DeparturesAreReplacedAndSevered) {
 }
 
 TEST(NetworkTest, TimeoutSeveringOnlyInTimeoutMode) {
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   SystemOptions t = SmallOptions();
   t.visibility = VisibilityModel::kTimeoutPresumed;
   t.partner_timeout = 6;
@@ -149,7 +150,7 @@ TEST(NetworkTest, TimeoutSeveringOnlyInTimeoutMode) {
 
 TEST(NetworkTest, ObserversDoNotConsumeQuotaAndRepair) {
   SystemOptions opts = SmallOptions();
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.end_round = 4000;
   eopts.seed = 13;
@@ -172,7 +173,7 @@ TEST(NetworkTest, ObserversDoNotConsumeQuotaAndRepair) {
 
 TEST(NetworkTest, ObserverAgeIsFrozen) {
   SystemOptions opts = SmallOptions();
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.end_round = 1000;
   sim::Engine engine(eopts);
@@ -185,7 +186,7 @@ TEST(NetworkTest, ObserverAgeIsFrozen) {
 TEST(NetworkTest, QuotaNeverExceeded) {
   SystemOptions opts = SmallOptions();
   opts.quota_blocks = 40;
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.end_round = 3000;
   eopts.seed = 17;
@@ -206,7 +207,7 @@ TEST(NetworkTest, ScarceQuotaForcesLossesOnNewcomers) {
   opts.quota_blocks = 34;  // demand 32 of 34 per peer: near saturation
   opts.partner_timeout = 4;
   opts.repair_threshold = 18;
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   const auto r = RunSmall(opts, sim::MonthsToRounds(5), 19, profiles, 2);
   EXPECT_GT(r.losses, 0);
   EXPECT_GE(r.newcomer_losses, r.losses / 2);
@@ -219,7 +220,7 @@ TEST(NetworkTest, QuotaMarketDisplacesYoungest) {
   with.quota_blocks = 36;
   SystemOptions without = with;
   without.quota_market = false;
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   const auto a = RunSmall(with, sim::MonthsToRounds(5), 23, profiles, 1);
   const auto b = RunSmall(without, sim::MonthsToRounds(5), 23, profiles, 1);
   EXPECT_GT(a.blocks_uploaded, b.blocks_uploaded);
@@ -228,13 +229,13 @@ TEST(NetworkTest, QuotaMarketDisplacesYoungest) {
 TEST(NetworkTest, DepartureGraceDelaysQuotaRelease) {
   SystemOptions opts = SmallOptions();
   opts.departure_grace = sim::kRoundsPerWeek;
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   const auto r = RunSmall(opts, sim::MonthsToRounds(4), 29, profiles, 4);
   EXPECT_GT(r.departures, 0);  // grace path exercised + invariants
 }
 
 TEST(NetworkTest, RepairsGrowWithThreshold) {
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   SystemOptions low = SmallOptions();
   low.repair_threshold = 17;
   SystemOptions high = SmallOptions();
@@ -248,7 +249,7 @@ TEST(NetworkTest, NewcomersRepairMoreThanElders) {
   // The paper's central claim at miniature scale: after enough time for
   // elders to exist, newcomer repair rates dominate elder rates.
   SystemOptions opts = SmallOptions();
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.end_round = sim::MonthsToRounds(24);
   eopts.seed = 37;
@@ -264,7 +265,7 @@ TEST(NetworkTest, NewcomersRepairMoreThanElders) {
 
 TEST(NetworkTest, CategorySeriesMonotone) {
   SystemOptions opts = SmallOptions();
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.end_round = 2000;
   sim::Engine engine(eopts);
@@ -285,7 +286,7 @@ TEST(NetworkTest, CategorySeriesMonotone) {
 TEST(NetworkTest, SelectionStrategyChangesPartnerQuality) {
   // Oldest-first should hand elder-age owners older partner sets than
   // youngest-first does.
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   auto mean_age = [&](const char* selection) {
     SystemOptions opts = SmallOptions();
     opts.selection = *core::SelectionSpec::Parse(selection);
@@ -312,7 +313,7 @@ TEST(NetworkTest, SelectionStrategyChangesPartnerQuality) {
 TEST(NetworkTest, PoliciesRun) {
   // Every registered policy (including parameterized instances of the new
   // ones) drives a short run without stalling repairs.
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   for (const char* policy :
        {"fixed-threshold", "adaptive-threshold", "proactive",
         "adaptive-redundancy", "adaptive-redundancy{safety_factor=8}",
@@ -328,7 +329,7 @@ TEST(NetworkTest, PoliciesRun) {
 }
 
 TEST(NetworkTest, WeightedRandomSelectionRuns) {
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   SystemOptions opts = SmallOptions();
   opts.selection = *core::SelectionSpec::Parse("weighted-random{age_exponent=2}");
   const auto r = RunSmall(opts, 3000, 47, profiles, 2);
@@ -338,7 +339,7 @@ TEST(NetworkTest, WeightedRandomSelectionRuns) {
 TEST(NetworkTest, EstimatorsRun) {
   // Every registered estimator (including parameterized instances) drives a
   // short run with the full invariant set intact.
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   for (const char* estimator :
        {"age-rank", "pareto-residual", "empirical-residual",
         "availability-weighted", "availability-weighted{exponent=4,floor=0}",
@@ -355,7 +356,7 @@ TEST(NetworkTest, EstimatorsRun) {
 
 TEST(NetworkTest, EmpiricalEstimatorLearnsFromDepartures) {
   // The online histogram sees every definitive departure of the run.
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   SystemOptions opts = SmallOptions();
   opts.estimator = *core::EstimatorSpec::Parse("empirical-residual");
   sim::EngineOptions eopts;
@@ -375,7 +376,7 @@ TEST(NetworkTest, AvailabilityWeightedEstimatorPrefersStableHosts) {
   // With diurnal low-availability machines in the mix, weighting age by
   // measured uptime should lift the partner sets' nominal availability
   // relative to the pure age rank (same seed, common random numbers).
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   auto mean_avail = [&](const char* estimator) {
     SystemOptions opts = SmallOptions();
     opts.estimator = *core::EstimatorSpec::Parse(estimator);
@@ -412,7 +413,7 @@ TEST(NetworkTest, PoolStatsAttributeEveryDraw) {
   // Scores go through the monitor and the per-round memo here, so the run
   // pins an estimator that reads the monitor (the default age-rank does
   // not; PoolStatsScoreAgeOnlyPoolsWithoutMonitorOrMemo covers it).
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   // Long enough that the population's ages spread: acceptance rejections
   // need old owners meeting young replacement candidates.
@@ -446,7 +447,7 @@ TEST(NetworkTest, PoolStatsScoreAgeOnlyPoolsWithoutMonitorOrMemo) {
   // draw loop scores each accepted candidate itself, so the monitor is
   // never asked and the memo never serves. The funnel partition and the
   // score count still cover every accepted candidate.
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.end_round = 800;
   sim::Engine engine(eopts);
@@ -464,7 +465,7 @@ TEST(NetworkTest, PoolStatsScoreAgeOnlyPoolsWithoutMonitorOrMemo) {
 }
 
 TEST(NetworkTest, VacantSlotsNeverEnterTheIndex) {
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.end_round = 100;
   sim::Engine engine(eopts);
@@ -496,7 +497,7 @@ TEST(NetworkTest, VacantSlotsNeverEnterTheIndex) {
 TEST(NetworkTest, MaxBlocksPerRoundSpreadsPlacement) {
   SystemOptions opts = SmallOptions();
   opts.max_blocks_per_round = 4;  // initial upload takes >= 8 rounds
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.end_round = 4;
   sim::Engine engine(eopts);

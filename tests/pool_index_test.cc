@@ -28,6 +28,7 @@
 #include "backup/network.h"
 #include "backup/options.h"
 #include "churn/profile.h"
+#include "scenario/population.h"
 #include "sim/engine.h"
 #include "util/rng.h"
 
@@ -72,7 +73,7 @@ TEST(PoolIndexTest, SelectionFrequenciesMatchRejectionSampler) {
   SystemOptions opts = PoolOptions();
   opts.use_acceptance = false;
   opts.quota_blocks = 100'000;  // hosted never reaches the quota boundary
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.seed = 17;
   eopts.end_round = 600;
@@ -175,7 +176,7 @@ TEST(PoolIndexTest, IndexMatchesFullEligibilityRecomputeUnderStorms) {
   // checkpoints the index must equal a from-scratch recompute of the
   // eligible set, with the online prefix exact - the brute-force oracle for
   // the O(1) swap-with-last maintenance.
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   sim::EngineOptions eopts;
   eopts.seed = 23;
   eopts.end_round = 500;
@@ -225,7 +226,7 @@ TEST(PoolIndexTest, IdenticallySeededWorldsStayInLockstep) {
   // of every swap included), the sampled pools, and the placement-stream
   // state must all be identical - the determinism contract the re-rolled
   // goldens stand on.
-  const auto profiles = churn::ProfileSet::Paper();
+  const auto profiles = *scenario::PopulationSpec::Paper().Compile();
   auto make = [&](sim::Engine* engine) {
     return std::make_unique<BackupNetwork>(engine, &profiles, PoolOptions());
   };
@@ -253,9 +254,9 @@ TEST(PoolIndexTest, IdenticallySeededWorldsStayInLockstep) {
       ASSERT_EQ(pool_a[i].id, pool_b[i].id) << "episode " << episode;
       ASSERT_EQ(pool_a[i].score, pool_b[i].score);
     }
-    const util::Rng::State sa = pa.place_rng()->state();
-    const util::Rng::State sb = pb.place_rng()->state();
-    for (int w = 0; w < 4; ++w) ASSERT_EQ(sa.s[w], sb.s[w]);
+    util::Rng sa = *pa.place_rng();
+    util::Rng sb = *pb.place_rng();
+    for (int w = 0; w < 4; ++w) ASSERT_EQ(sa.NextU64(), sb.NextU64());
   }
   EXPECT_EQ(na->candidate_index(), nb->candidate_index());
   na->CheckInvariants();

@@ -1,13 +1,10 @@
 // Tests for the scenario subsystem: token parsing (durations, lists),
 // declarative populations, workload events, the key=value text round-trip
-// (including a golden file), the registry, and the two refactor guarantees:
-//  * the legacy paper/bernoulli/pareto mixes run byte-identically to direct
-//    churn::ProfileSet construction (the pre-refactor RunScenario path);
-//  * workload scenarios actually change the population at the scheduled
-//    round, end to end through the parallel sweep runner.
+// (including a golden file), the registry, and the guarantee that workload
+// scenarios actually change the population at the scheduled round, end to
+// end through the parallel sweep runner.
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -19,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "backup/network.h"
-#include "churn/profile.h"
 #include "scenario/parse.h"
 #include "scenario/population.h"
 #include "scenario/registry.h"
@@ -158,11 +154,11 @@ TEST(PopulationTest, RejectsBadSpecs) {
   EXPECT_TRUE(spec.Validate().IsInvalidArgument());
 
   spec = PopulationSpec::Paper();
-  spec.profiles[1].lifetime = LifetimeSpec::Uniform(100, 50);  // hi < lo
+  spec.profiles[1].lifetime = churn::LifetimeSpec::Uniform(100, 50);  // hi < lo
   EXPECT_TRUE(spec.Validate().IsInvalidArgument());
 
   spec = PopulationSpec::Paper();
-  spec.profiles[2].lifetime = LifetimeSpec::Pareto(-1.0, 1.1);
+  spec.profiles[2].lifetime = churn::LifetimeSpec::Pareto(-1.0, 1.1);
   EXPECT_TRUE(spec.Validate().IsInvalidArgument());
 }
 
@@ -304,94 +300,48 @@ TEST(WorkloadTest, CompileRejectsPopulationUnderflow) {
   EXPECT_NE(compiled.status().message().find("below"), std::string::npos);
 }
 
-// ------------------------------------------------- legacy mix equivalence
-
-// Mirrors the pre-refactor sweep::RunScenario body: direct churn factory
-// construction, no scenario layer. The refactor's contract is that the
-// registry worlds reproduce these runs bit for bit at the same seed.
-struct ReferenceOutcome {
-  int64_t repairs = 0;
-  int64_t losses = 0;
-  int64_t blocks_uploaded = 0;
-  int64_t departures = 0;
-  int64_t timeouts = 0;
-  std::array<double, metrics::kCategoryCount> repairs_per_1000_day{};
-  std::array<double, metrics::kCategoryCount> losses_per_1000_day{};
-  backup::BackupNetwork::PopulationStats population;
-};
-
-ReferenceOutcome RunReference(const churn::ProfileSet& profiles,
-                              uint32_t peers, sim::Round rounds,
-                              uint64_t seed) {
-  sim::EngineOptions eopts;
-  eopts.seed = seed;
-  eopts.end_round = rounds;
-  sim::Engine engine(eopts);
-  backup::SystemOptions options;
-  options.num_peers = peers;
-  backup::BackupNetwork network(&engine, &profiles, options);
-  engine.Run();
-  ReferenceOutcome out;
-  const metrics::Collector& collected = network.metrics();
-  out.repairs = collected.repairs();
-  out.losses = collected.losses();
-  out.blocks_uploaded = collected.blocks_uploaded();
-  out.departures = collected.departures();
-  out.timeouts = collected.timeouts();
-  for (int c = 0; c < metrics::kCategoryCount; ++c) {
-    const auto cat = static_cast<metrics::AgeCategory>(c);
-    out.repairs_per_1000_day[static_cast<size_t>(c)] =
-        collected.accounting().RepairsPer1000PerDay(cat);
-    out.losses_per_1000_day[static_cast<size_t>(c)] =
-        collected.accounting().LossesPer1000PerDay(cat);
-  }
-  out.population = network.ComputePopulationStats();
-  return out;
-}
-
-TEST(LegacyMixTest, RegistryWorldsMatchDirectProfileSetRuns) {
-  struct Case {
-    const char* scenario_name;
-    churn::ProfileSet profiles;
+TEST(WorkloadTest, CompileRejectsCountsPastTheIdSpace) {
+  // Each schedule is rejected before any adjustment is built, so none of
+  // them allocates: its counts would wrap a uint32_t, and the ramps would
+  // first build one adjustment per peer.
+  const auto compile = [](WorkloadEvent e, uint32_t peers) {
+    WorkloadSchedule schedule;
+    schedule.events.push_back(e);
+    return CompileWorkload(schedule, peers).status();
   };
-  const Case cases[] = {
-      {"paper", churn::ProfileSet::Paper()},
-      {"bernoulli", churn::ProfileSet::PaperBernoulli()},
-      {"pareto", churn::ProfileSet::ParetoMix(sim::MonthsToRounds(1), 1.1)},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.scenario_name);
-    auto world = FindScenario(c.scenario_name);
-    ASSERT_TRUE(world.ok());
-    world->peers = 120;
-    world->rounds = 400;
-    world->seed = 7;
-    const Outcome via_scenario = RunScenario(*world);
-    const ReferenceOutcome reference =
-        RunReference(c.profiles, 120, 400, 7);
+  const std::string ids = "more than the " +
+                          std::to_string(backup::kMaxNormalSlots) +
+                          " a network has";
+  util::Status st = compile(WorkloadEvent::FlashCrowd(100, 16.0), 300'000'000);
+  EXPECT_EQ(st.message(),
+            "workload needs 5100000000 peer ids for its peers plus scheduled "
+            "joins, " + ids);
+  const sim::Round eon = sim::Round{1'000'000'000} * sim::kRoundsPerYear;
+  st = compile(WorkloadEvent::Ramp(720, 1.0, eon), 4'000'000'000u);
+  EXPECT_EQ(st.message(),
+            "workload needs 8000000000 peer ids for its peers plus scheduled "
+            "joins, " + ids);
+  st = compile(WorkloadEvent::Ramp(720, -16.0, 1), 270'000'000);
+  EXPECT_EQ(st.message(),
+            "workload removes 4320000000 peers, more than the 270000000 it "
+            "ever has");
+  st = compile(WorkloadEvent::Ramp(720, -1.5, eon), 1'000'000'000);
+  EXPECT_EQ(st.message(),
+            "workload removes 1500000000 peers, more than the 1000000000 it "
+            "ever has");
 
-    EXPECT_EQ(via_scenario.report.Count("repairs"), reference.repairs);
-    EXPECT_EQ(via_scenario.report.Count("losses"), reference.losses);
-    EXPECT_EQ(via_scenario.report.Count("blocks_uploaded"),
-              reference.blocks_uploaded);
-    EXPECT_EQ(via_scenario.report.Count("departures"), reference.departures);
-    EXPECT_EQ(via_scenario.report.Count("timeouts"), reference.timeouts);
-    for (int cat = 0; cat < metrics::kCategoryCount; ++cat) {
-      const auto i = static_cast<size_t>(cat);
-      // Bitwise equality: the runs must draw identical random sequences.
-      EXPECT_EQ(via_scenario.report.PerCategory("repairs_1k_day")[i],
-                reference.repairs_per_1000_day[i]);
-      EXPECT_EQ(via_scenario.report.PerCategory("losses_1k_day")[i],
-                reference.losses_per_1000_day[i]);
-    }
-    EXPECT_EQ(via_scenario.population.mean_partners,
-              reference.population.mean_partners);
-    EXPECT_EQ(via_scenario.population.mean_hosted,
-              reference.population.mean_hosted);
-    EXPECT_EQ(via_scenario.population.backed_up,
-              reference.population.backed_up);
-    EXPECT_EQ(via_scenario.final_population, 120);
-  }
+  // The bound itself: one join fills the last id slot, a second is one
+  // too many.
+  const double one = 1.0 / backup::kMaxNormalSlots;
+  const auto last = CompileWorkload(
+      WorkloadSchedule{{WorkloadEvent::FlashCrowd(100, one)}},
+      backup::kMaxNormalSlots - 1);
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  ASSERT_EQ(last->size(), 1u);
+  EXPECT_EQ((*last)[0].joins, 1u);
+  EXPECT_FALSE(
+      compile(WorkloadEvent::FlashCrowd(100, one), backup::kMaxNormalSlots)
+          .ok());
 }
 
 // ---------------------------------------------------------- text format
