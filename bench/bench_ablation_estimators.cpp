@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   int threads = 0;
 
   util::FlagSet flags;
-  bench::ScenarioFlags scale;
+  scenario::ScenarioFlags scale;
   scale.Register(&flags);
   flags.String("worlds", &worlds_csv,
                "comma-separated scenario names/files to compare");
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   util::Table t({"scenario", "estimator", "newcomers/1000/day", "young", "old",
                  "elder", "elder:newcomer ratio", "total repairs", "losses"});
   for (const sweep::CellResult& cell : *results) {
-    const bench::Outcome& out = cell.outcome;
+    const scenario::Outcome& out = cell.outcome;
     t.BeginRow();
     t.Add(cell.cell.scenario.name);
     t.Add(cell.cell.scenario.options.estimator.ToString());

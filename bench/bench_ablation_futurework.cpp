@@ -21,12 +21,12 @@
 int main(int argc, char** argv) {
   using namespace p2p;
 
-  bench::Scenario base;
+  scenario::Scenario base;
   base.peers = 1500;
   base.rounds = 18'000;
 
   util::FlagSet flags;
-  bench::ScenarioFlags scale;
+  scenario::ScenarioFlags scale;
   scale.Register(&flags);
   if (auto st = flags.Parse(argc, argv); !st.ok()) {
     std::cerr << st.ToString() << "\n" << flags.Usage(argv[0]);
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   util::Table t({"policy", "repairs", "blocks uploaded", "blocks/repair",
                  "losses", "newcomers/1000/day", "elder/1000/day"});
   for (const Config& config : configs) {
-    bench::Scenario s = base;
+    scenario::Scenario s = base;
     auto policy = core::PolicySpec::Parse(config.policy);
     if (!policy.ok()) {
       std::cerr << policy.status().ToString() << "\n";
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     }
     s.options.policy = *policy;
     s.options.departure_grace = config.grace;
-    const bench::Outcome out = bench::Run(s);
+    const scenario::Outcome out = scenario::RunScenario(s);
     t.BeginRow();
     t.Add(config.name);
     const int64_t repairs = out.report.Count("repairs");

@@ -13,23 +13,23 @@
 //   ./bench_ablation_lifetimes [--paper] [--peers=N] [--rounds=R]
 //                              [--worlds=paper,bernoulli,pareto]
 
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.h"
 #include "scenario/parse.h"
+#include "sweep/runner.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace p2p;
 
-  bench::Scenario base;
-  base.peers = 1500;
-  base.rounds = 18'000;
+  sweep::SweepSpec spec;
+  spec.base.peers = 1500;
+  spec.base.rounds = 18'000;
   std::string worlds_csv = "paper,bernoulli,pareto";
 
   util::FlagSet flags;
-  bench::ScenarioFlags scale;
+  scenario::ScenarioFlags scale;
   scale.Register(&flags);
   flags.String("worlds", &worlds_csv,
                "comma-separated scenario names/files to compare");
@@ -37,41 +37,38 @@ int main(int argc, char** argv) {
     std::cerr << st.ToString() << "\n" << flags.Usage(argv[0]);
     return 1;
   }
-  if (auto st = scale.Apply(&base); !st.ok()) {
+  if (auto st = scale.Apply(&spec.base); !st.ok()) {
     std::cerr << st.ToString() << "\n";
     return 1;
   }
-
-  std::vector<std::string> worlds;
-  if (auto st = scenario::ParseStringList(worlds_csv, &worlds); !st.ok()) {
+  if (auto st = scenario::ParseStringList(worlds_csv, &spec.scenarios);
+      !st.ok()) {
     std::cerr << "--worlds: " << st.ToString() << "\n";
     return 1;
   }
 
-  bench::PrintRunBanner("Ablation: lifetime distribution", base);
+  bench::PrintRunBanner("Ablation: lifetime distribution", spec.base);
+
+  // The worlds are one sweep axis: each cell keeps the base scale, options
+  // and seed and takes one world's population and workload.
+  sweep::RunnerOptions ropts;
+  ropts.progress = true;
+  const auto results = sweep::RunSweep(spec, ropts);
+  if (!results.ok()) {
+    std::cerr << results.status().ToString() << "\n";
+    return 1;
+  }
 
   util::Table t({"churn world", "newcomers/1000/day", "young", "old", "elder",
                  "total repairs", "losses", "departures"});
-  for (const std::string& world_name : worlds) {
-    auto world = scenario::LoadScenario(world_name);
-    if (!world.ok()) {
-      std::cerr << world.status().ToString() << "\n";
-      return 1;
-    }
-    bench::Scenario s = base;
-    scenario::ApplyWorld(*world, &s);
-    const bench::Outcome out = bench::Run(s);
+  for (const sweep::CellResult& r : *results) {
+    const metrics::RunReport& report = r.outcome.report;
     t.BeginRow();
-    t.Add(s.name);
-    for (int c = 0; c < metrics::kCategoryCount; ++c) {
-      t.Add(out.report.PerCategory("repairs_1k_day")[static_cast<size_t>(c)],
-            3);
-    }
-    t.Add(out.report.Count("repairs"));
-    t.Add(out.report.Count("losses"));
-    t.Add(out.report.Count("departures"));
-    std::fprintf(stderr, "%s done in %.1fs\n", s.name.c_str(),
-                 out.wall_seconds);
+    t.Add(r.cell.scenario.name);
+    for (double rate : report.PerCategory("repairs_1k_day")) t.Add(rate, 3);
+    t.Add(report.Count("repairs"));
+    t.Add(report.Count("losses"));
+    t.Add(report.Count("departures"));
   }
   t.RenderPretty(std::cout);
   return 0;

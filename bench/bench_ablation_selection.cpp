@@ -20,12 +20,12 @@
 int main(int argc, char** argv) {
   using namespace p2p;
 
-  bench::Scenario base;
+  scenario::Scenario base;
   base.peers = 1500;
   base.rounds = 18'000;
 
   util::FlagSet flags;
-  bench::ScenarioFlags scale;
+  scenario::ScenarioFlags scale;
   scale.Register(&flags);
   if (auto st = flags.Parse(argc, argv); !st.ok()) {
     std::cerr << st.ToString() << "\n" << flags.Usage(argv[0]);
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   util::Table t({"config", "newcomers/1000/day", "young", "old", "elder",
                  "elder:newcomer ratio", "total repairs", "losses"});
   for (const Config& config : configs) {
-    bench::Scenario s = base;
+    scenario::Scenario s = base;
     auto selection = core::SelectionSpec::Parse(config.selection);
     if (!selection.ok()) {
       std::cerr << selection.status().ToString() << "\n";
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     }
     s.options.selection = *selection;
     s.options.use_acceptance = config.use_acceptance;
-    const bench::Outcome out = bench::Run(s);
+    const scenario::Outcome out = scenario::RunScenario(s);
     t.BeginRow();
     t.Add(config.name);
     const auto& repairs_1k = out.report.PerCategory("repairs_1k_day");

@@ -17,14 +17,14 @@
 int main(int argc, char** argv) {
   using namespace p2p;
 
-  bench::Scenario scenario;
+  scenario::Scenario scenario;
   scenario.peers = 2000;
   scenario.rounds = 24'000;  // 1000 days
   scenario.observers = bench::PaperObservers();
   scenario.options.repair_threshold = 148;
 
   util::FlagSet flags;
-  bench::ScenarioFlags scale;
+  scenario::ScenarioFlags scale;
   scale.Register(&flags);
   int threshold = 0;
   flags.Int32("threshold", &threshold,
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   bench::PrintRunBanner("Figure 3: cumulative repairs of the five observers",
                         scenario);
 
-  const bench::Outcome out = bench::Run(scenario);
+  const scenario::Outcome out = scenario::RunScenario(scenario);
 
   // Final totals (the paper quotes: elder/senior < 10, adult < 20,
   // teenager < 100, baby ~900 over 2000 days at 25k peers).

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace p2p;
 
-  bench::Scenario scenario;
+  scenario::Scenario scenario;
   scenario.peers = 2000;
   scenario.rounds = 24'000;  // 1000 days
   scenario.options.repair_threshold = 148;
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   // thresholds; at 148 they are rare, which this bench reports faithfully.
 
   util::FlagSet flags;
-  bench::ScenarioFlags scale;
+  scenario::ScenarioFlags scale;
   scale.Register(&flags);
   int threshold = 0;
   flags.Int32("threshold", &threshold,
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   bench::PrintRunBanner(
       "Figure 4: cumulative lost archives per peer, by category", scenario);
 
-  const bench::Outcome out = bench::Run(scenario);
+  const scenario::Outcome out = scenario::RunScenario(scenario);
 
   util::Table series(
       {"day", "newcomers", "young", "old", "elder"});

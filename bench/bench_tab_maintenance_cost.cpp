@@ -8,13 +8,14 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "net/bandwidth.h"
+#include "transfer/link.h"
 #include "util/table.h"
 
 int main() {
   using namespace p2p;
-  constexpr uint64_t kArchiveBytes = 128ull * 1024 * 1024;
   constexpr int kK = 128;
   constexpr int kM = 128;
 
@@ -41,10 +42,9 @@ int main() {
   util::Table costs({"link", "down kB/s", "up kB/s", "download s", "repair d=64",
                      "repair d=128 (min)", "max repairs/day (d=128)",
                      "initial upload (h)", "restore 1 archive (min)"});
-  for (const net::LinkProfile& link :
-       {net::LinkProfile::Dsl2009(), net::LinkProfile::ModernDsl(),
-        net::LinkProfile::Ftth()}) {
-    const net::RepairCostModel model(link, kArchiveBytes, kK, kM);
+  for (const std::string& name : transfer::LinkProfileNames()) {
+    const net::LinkProfile link = *transfer::FindLinkProfile(name);
+    const net::RepairCostModel model(link, net::kArchiveBytes, kK, kM);
     costs.BeginRow();
     costs.Add(link.name);
     costs.Add(link.download_bytes_per_s / 1024.0, 0);
@@ -61,8 +61,8 @@ int main() {
   // The paper's usability argument: "if we want to limit the cost to one
   // repair per day, with 32 archives (4 GB of data), the repair rate should
   // be less than one per month approximatively."
-  const net::RepairCostModel dsl(net::LinkProfile::Dsl2009(), kArchiveBytes, kK,
-                                 kM);
+  const net::RepairCostModel dsl(net::LinkProfile::Dsl2009(),
+                                 net::kArchiveBytes, kK, kM);
   const double budget_per_archive_per_day = 1.0 / 32.0;
   std::printf(
       "\n# Feasibility: one repair/day budget, 32 archives (4 GB)\n"

@@ -27,9 +27,9 @@
 int main(int argc, char** argv) {
   using namespace p2p;
 
-  bench::Scenario base;
+  scenario::Scenario base;
   util::FlagSet flags;
-  bench::ScenarioFlags scale;
+  scenario::ScenarioFlags scale;
   scale.Register(&flags);
   if (auto st = flags.Parse(argc, argv); !st.ok()) {
     std::cerr << st.ToString() << "\n" << flags.Usage(argv[0]);

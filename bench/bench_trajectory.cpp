@@ -33,7 +33,6 @@
 #include "trace/sinks.h"
 #include "trace/trace.h"
 #include "transfer/link.h"
-#include "transfer/scheduler.h"
 #include "util/flags.h"
 
 namespace {
@@ -80,18 +79,6 @@ sweep::SweepSpec CanonicalGrid(bool quick) {
   }
   return spec;
 }
-
-/// An always-online world where owner 0 downloads from 128 dedicated
-/// sources: the transfer scheduler's contention-free worst case, matching
-/// the paper's single-peer repair analysis.
-class IdleSources : public transfer::PeerDirectory {
- public:
-  bool Online(transfer::PeerId) const override { return true; }
-  void AppendSources(transfer::PeerId,
-                     std::vector<transfer::PeerId>* out) const override {
-    for (transfer::PeerId src = 1; src <= 128; ++src) out->push_back(src);
-  }
-};
 
 /// Process CPU seconds (all threads). The overhead comparison uses CPU
 /// time, not wall time: instrumentation cost is CPU work, and CPU time is
@@ -451,25 +438,11 @@ int main(int argc, char** argv) {
       std::cerr << "bench_trajectory: " << link.status().ToString() << "\n";
       return 1;
     }
-    constexpr uint64_t kArchiveBytes = 128ull << 20;
-    constexpr int kK = 128;
-    constexpr int kM = 128;
-    transfer::TransferScheduler sched(*link, /*id_capacity=*/130,
-                                      kArchiveBytes, kK, kM);
-    const IdleSources directory;
-    constexpr int kJobs = 12;
-    sim::Round tick = 0;
-    std::vector<transfer::TransferCompletion> done;
-    for (int job = 0; job < kJobs; ++job) {
-      sched.Enqueue(0, 1, /*initial=*/false, kK, tick);
-      while (sched.HasJob(0)) {
-        done.clear();
-        sched.Tick(++tick, directory, &done);
-      }
-    }
-    doc.transfer_analytic_repairs_per_day = sched.model().MaxRepairsPerDay(kK);
-    doc.transfer_measured_repairs_per_day =
-        24.0 * kJobs / static_cast<double>(tick);
+    const bench::RepairCeiling ceiling =
+        bench::MeasureRepairCeiling(*link, /*jobs=*/12);
+    doc.transfer_analytic_repairs_per_day =
+        ceiling.model.MaxRepairsPerDay(ceiling.model.k());
+    doc.transfer_measured_repairs_per_day = ceiling.measured_per_day;
 
     // One transfer-enabled traced cell. 400 peers regardless of --quick:
     // below ~300 peers initial placement cannot complete, so no transfer

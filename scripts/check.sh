@@ -65,6 +65,18 @@ for scenario in $(./build/scenario_tool list); do
 done
 
 echo
+echo "== figure smoke: every figure and ablation program runs =="
+# The programs behind the paper's figures and the ablation tables, at a tiny
+# scale: a program that no longer runs to completion fails CI here. The list
+# comes from the source tree, so a new figure or ablation joins the loop.
+for src in bench/bench_fig*.cpp bench/bench_ablation_*.cpp; do
+  bench="$(basename "${src}" .cpp)"
+  echo "-- ${bench}"
+  "./build/${bench}" --peers=300 --rounds=300 > /dev/null
+done
+./build/bench_tab_maintenance_cost > /dev/null
+
+echo
 echo "== transfer smoke: every registered scenario on the 2009 DSL link, invariant-checked =="
 # The same scenario loop with the bandwidth-constrained transfer scheduler
 # enabled: repairs queue and stretch over rounds instead of completing

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "net/bandwidth.h"
 #include "trace/trace.h"
 #include "transfer/link.h"
 #include "util/logging.h"
@@ -14,10 +15,6 @@ namespace {
 // Distinct RNG stream purposes (arbitrary fixed ids; see Engine::Stream).
 constexpr uint64_t kChurnStream = 0x11;
 constexpr uint64_t kPlacementStream = 0x22;
-
-// Archive size for the transfer scheduler's cost model (paper 2.2.4:
-// "a typical data amount of 128 MB per archive").
-constexpr uint64_t kArchiveBytes = 128ull << 20;
 
 // Software prefetch for the two link walks that chase peer ids into cold
 // per-peer arrays: SeverAsHost and an episode's placement loop (README "Hot
@@ -112,7 +109,7 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
         transfer::FindLinkProfile(options_.transfer_link);
     P2P_CHECK(link.ok());  // Validate() vetted the name above
     transfer_ = std::make_unique<transfer::TransferScheduler>(
-        *link, normal_slots_ + kMaxObservers, kArchiveBytes, options_.k,
+        *link, normal_slots_ + kMaxObservers, net::kArchiveBytes, options_.k,
         options_.m);
   }
 
@@ -209,11 +206,8 @@ void BackupNetwork::InitPeer(PeerId id, sim::Round now) {
 
 void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
   PeerState& p = peers_[id];
-  if (transfer_ && p.transfer_pending) {
-    // The machine is gone; its queued transfer dies with it.
-    transfer_->Cancel(id);
-    p.transfer_pending = false;
-  }
+  // The machine is gone; its queued transfer dies with it.
+  if (transfer_) transfer_->Cancel(id);
   collector_.OnDeparture(id, CategoryAt(id, now));
   if (reads_monitor_) monitor_.RecordDeparture(id, now);
   // Online estimators learn the departure-age distribution as it unfolds.
@@ -605,12 +599,9 @@ int BackupNetwork::EvictOfflinePartners(PeerId owner, int count) {
 
 void BackupNetwork::HandleArchiveLoss(PeerId owner, sim::Round now) {
   PeerState& p = peers_[owner];
-  if (transfer_ && p.transfer_pending) {
-    // The archive the transfer was rebuilding no longer decodes; the fresh
-    // initial placement below enqueues a new job when it completes.
-    transfer_->Cancel(owner);
-    p.transfer_pending = false;
-  }
+  // The archive a queued transfer was rebuilding no longer decodes; the
+  // fresh initial placement below enqueues a new job when it completes.
+  if (transfer_) transfer_->Cancel(owner);
   if (IsObserver(owner)) {
     collector_.OnObserverLoss(owner - normal_slots_);
   } else {
@@ -627,8 +618,10 @@ void BackupNetwork::HandleArchiveLoss(PeerId owner, sim::Round now) {
 void BackupNetwork::FlagForRepair(PeerId id) {
   PeerState& p = peers_[id];
   // Observers are measurement instruments: like the category accounting,
-  // the episode probes (time-to-repair, vulnerability) exclude them, so
-  // adding an observer never moves a reported system metric.
+  // the episode probes (time-to-repair, vulnerability) exclude them. Other
+  // system metrics do move with an observer: it draws hosts from the
+  // placement stream, and the `repairs` and `losses` totals count its
+  // episodes.
   if (!p.needs_repair && !IsObserver(id)) {
     collector_.OnRepairFlagged(id, engine_->now());
   }
@@ -664,7 +657,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
   // A transfer job for the previous episode is still moving bytes on the
   // link; further degradation is absorbed when the job completes (the
   // completion handler re-evaluates and re-flags).
-  if (p.transfer_pending) return;
+  if (transfer_ && transfer_->HasJob(id)) return;
 
   // "The peer must first download k blocks to be able to decode the
   // original data": with fewer than k blocks reachable, the repair fails
@@ -714,7 +707,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
       collector_.OnObserverRepair(id - normal_slots_);
     } else {
       TRACE_COUNTER("repair/episodes", 1);
-      collector_.OnRepairStart(CategoryAt(id, now), p.episode_target - basis);
+      collector_.OnRepairStart(CategoryAt(id, now));
     }
   }
 
@@ -756,7 +749,6 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
       // Placement chose the hosts; the bytes still have to move on the
       // link. The repair flag (and the vulnerability window) clears only
       // when the scheduler reports the job's last byte.
-      p.transfer_pending = true;
       transfer_->Enqueue(id, p.incarnation, /*initial=*/!p.backed_up,
                          p.episode_placed, now);
       return;
@@ -801,7 +793,6 @@ void BackupNetwork::OnTransferComplete(
     const transfer::TransferCompletion& completion, sim::Round now) {
   TRACE_SCOPE("transfer/complete");
   PeerState& p = peers_[completion.owner];
-  p.transfer_pending = false;
   p.needs_repair = false;
   collector_.OnRepairCleared(completion.owner, now, completion.initial);
   if (!completion.initial) {
@@ -1093,17 +1084,12 @@ void BackupNetwork::CheckInvariants() const {
     }
   }
   P2P_CHECK(cand_index_.size() == live_normal_check);
-  // Transfer bookkeeping: the pending flag must mirror the scheduler's
-  // queue exactly, and a pending job pins the owner in the flagged,
-  // episode-closed state until completion.
-  for (PeerId id = 0; id < peers_.size(); ++id) {
-    const PeerState& p = peers_[id];
-    if (transfer_ == nullptr) {
-      P2P_CHECK(!p.transfer_pending);
-      continue;
-    }
-    P2P_CHECK(p.transfer_pending == transfer_->HasJob(id));
-    if (p.transfer_pending) {
+  // Transfer bookkeeping: a queued job pins its owner - a live normal peer -
+  // in the flagged, episode-closed state until completion.
+  if (transfer_) {
+    for (PeerId id = 0; id < peers_.size(); ++id) {
+      if (!transfer_->HasJob(id)) continue;
+      const PeerState& p = peers_[id];
       P2P_CHECK(p.live && !IsObserver(id));
       P2P_CHECK(!p.episode_active);
       P2P_CHECK(p.needs_repair);

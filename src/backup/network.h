@@ -243,9 +243,6 @@ class BackupNetwork {
     bool needs_repair = false;
     bool in_repair_queue = false;
     bool episode_active = false;
-    // A transfer job for this peer is queued in the scheduler; the repair
-    // flag stays set (vulnerability accrues) until the job completes.
-    bool transfer_pending = false;
     // Blocks placed by the current/most recent episode; sizes the upload
     // phase of the episode's transfer job.
     int episode_placed = 0;

@@ -9,7 +9,6 @@ CategorySnapshot CategoryAccounting::Snapshot(AgeCategory c) const {
   s.peer_rounds = peer_rounds_[Idx(c)];
   s.repairs = repairs_[Idx(c)];
   s.losses = losses_[Idx(c)];
-  s.blocks_uploaded = blocks_uploaded_[Idx(c)];
   return s;
 }
 

@@ -25,7 +25,6 @@ struct CategorySnapshot {
   double peer_rounds = 0.0;    ///< integral of population over time
   int64_t repairs = 0;         ///< repair operations triggered
   int64_t losses = 0;          ///< archives lost (alive < k)
-  int64_t blocks_uploaded = 0; ///< blocks re-placed by repairs
 };
 
 /// \brief Tracks the four categories of one simulation run.
@@ -54,10 +53,7 @@ class CategoryAccounting {
 
   /// \name Outcome events.
   /// @{
-  void RecordRepair(AgeCategory c, int blocks) {
-    ++repairs_[Idx(c)];
-    blocks_uploaded_[Idx(c)] += blocks;
-  }
+  void RecordRepair(AgeCategory c) { ++repairs_[Idx(c)]; }
   void RecordLoss(AgeCategory c) { ++losses_[Idx(c)]; }
   /// @}
 
@@ -86,7 +82,6 @@ class CategoryAccounting {
   std::array<double, kCategoryCount> peer_rounds_{};
   std::array<int64_t, kCategoryCount> repairs_{};
   std::array<int64_t, kCategoryCount> losses_{};
-  std::array<int64_t, kCategoryCount> blocks_uploaded_{};
   int64_t rounds_ = 0;
 };
 

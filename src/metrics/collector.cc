@@ -33,9 +33,9 @@ void Collector::OnDeparture(uint32_t id, AgeCategory c) {
   flag_round_[id] = -1;
 }
 
-void Collector::OnRepairStart(AgeCategory c, int planned_blocks) {
+void Collector::OnRepairStart(AgeCategory c) {
   ++repairs_;
-  accounting_.RecordRepair(c, planned_blocks);
+  accounting_.RecordRepair(c);
 }
 
 void Collector::OnObserverRepair(size_t index) {

@@ -69,9 +69,8 @@ class Collector {
   void OnDeparture(uint32_t id, AgeCategory c);
   /// `severed` partnerships written off by the timeout rule at once.
   void OnTimeout(int64_t severed) { timeouts_ += severed; }
-  /// A repair episode started for a normal peer of category `c`, planning
-  /// to place `planned_blocks` blocks.
-  void OnRepairStart(AgeCategory c, int planned_blocks);
+  /// A repair episode started for a normal peer of category `c`.
+  void OnRepairStart(AgeCategory c);
   /// A repair episode started for observer `index`.
   void OnObserverRepair(size_t index);
   /// A normal peer of category `c` lost its archive.

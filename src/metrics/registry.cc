@@ -37,10 +37,12 @@ const std::vector<MetricDescriptor>& MetricTable() {
   // new row is free to choose kMoments.
   static const auto* table = new std::vector<MetricDescriptor>{
       Metric("repairs", &ComputedProbes::repairs, "ops",
-             "repair operations triggered (initial placements included)",
+             "repair operations triggered (initial placements and observer "
+             "episodes included)",
              MetricKind::kCount, MetricAggregation::kMoments, true),
       Metric("losses", &ComputedProbes::losses, "archives",
-             "archives lost (alive blocks fell below k)",
+             "archives lost (alive blocks fell below k; observer archives "
+             "included)",
              MetricKind::kCount, MetricAggregation::kMoments, true),
       Metric("blocks_uploaded", &ComputedProbes::blocks_uploaded, "blocks",
              "blocks re-placed by repairs",

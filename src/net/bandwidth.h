@@ -18,6 +18,9 @@
 namespace p2p {
 namespace net {
 
+/// Bytes in one archive: "a typical data amount of 128 MB per archive".
+constexpr uint64_t kArchiveBytes = 128ull << 20;
+
 /// \brief An asymmetric access link.
 struct LinkProfile {
   std::string name;

@@ -2,19 +2,18 @@
 //
 // The registry maps stable names to fully built Scenario values:
 //
-//   paper         the paper's four-profile world, diurnal sessions
-//   bernoulli     same profiles, per-round coin availability
-//   pareto        shared heavy-tailed Pareto lifetimes (ablation A2)
-//   flash-crowd   paper world + a +50% join wave at day 100
-//   mass-exit     paper world + a correlated 30% departure at day 100
-//   growing       paper world + a +100% growth ramp over the first year
-//   weekend-heavy machines that are mostly online on weekends only
+//   paper           the paper's four-profile world, diurnal sessions
+//   bernoulli       same profiles, per-round coin availability
+//   pareto          shared heavy-tailed Pareto lifetimes (ablation A2)
+//   flash-crowd     paper world + a +50% join wave at day 100
+//   mass-exit       paper world + a correlated 30% departure at day 100
+//   growing         paper world + a +100% growth ramp over the first year
+//   weekend-heavy   machines that are mostly online on weekends only
+//   flash-crowd-dsl the flash crowd with transfers on the 2009 DSL link
 //
-// The first three are the worlds of the deleted sweep::ProfileMix enum; a
-// test locks their runs byte-for-byte against direct churn::ProfileSet
-// construction. Every bench/example binary resolves `--scenario=<name>`
-// through FindScenario and `--scenario=<path>` through the text format, so
-// new worlds are files, not code.
+// Every bench/example binary resolves `--scenario=<name>` through
+// FindScenario and `--scenario=<path>` through the text format, so new
+// worlds are files, not code.
 
 #ifndef P2P_SCENARIO_REGISTRY_H_
 #define P2P_SCENARIO_REGISTRY_H_

@@ -4,24 +4,9 @@
 
 namespace p2p {
 namespace util {
-namespace {
 
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void Logf(LogLevel level, const char* fmt, ...) {
-  std::fprintf(stderr, "[%s] ", LevelName(level));
+void Logf(const char* fmt, ...) {
+  std::fputs("[ERROR] ", stderr);
   va_list ap;
   va_start(ap, fmt);
   std::vfprintf(stderr, fmt, ap);

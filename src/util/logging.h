@@ -1,4 +1,4 @@
-// Leveled logging with printf-style formatting, plus CHECK macros for
+// Error logging with printf-style formatting, plus CHECK macros for
 // invariants that must hold in release builds.
 
 #ifndef P2P_UTIL_LOGGING_H_
@@ -10,11 +10,8 @@
 namespace p2p {
 namespace util {
 
-/// Severity levels in increasing order of importance.
-enum class LogLevel { kInfo, kWarn, kError };
-
-/// Emits one formatted log line to stderr.
-void Logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+/// Emits one formatted "[ERROR] " line to stderr.
+void Logf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /// Prints the failure and aborts; used by the P2P_CHECK macros.
 [[noreturn]] void CheckFailed(const char* file, int line, const char* expr);
@@ -22,9 +19,7 @@ void Logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2,
 }  // namespace util
 }  // namespace p2p
 
-#define P2P_LOG_INFO(...) ::p2p::util::Logf(::p2p::util::LogLevel::kInfo, __VA_ARGS__)
-#define P2P_LOG_WARN(...) ::p2p::util::Logf(::p2p::util::LogLevel::kWarn, __VA_ARGS__)
-#define P2P_LOG_ERROR(...) ::p2p::util::Logf(::p2p::util::LogLevel::kError, __VA_ARGS__)
+#define P2P_LOG_ERROR(...) ::p2p::util::Logf(__VA_ARGS__)
 
 /// Aborts (in all build types) when `cond` is false. Use for invariants whose
 /// violation would silently corrupt simulation results.

@@ -61,7 +61,7 @@ TEST(AccountingTest, RatesPer1000PerDay) {
   CategoryAccounting acc;
   acc.PeerEntered(AgeCategory::kOld);
   for (int i = 0; i < 240; ++i) acc.AccumulateRound();  // 10 days, 1 peer
-  acc.RecordRepair(AgeCategory::kOld, 5);
+  acc.RecordRepair(AgeCategory::kOld);
   // 1 repair / (240 peer-rounds) * 1000 * 24 = 100 per 1000 peers per day.
   EXPECT_NEAR(acc.RepairsPer1000PerDay(AgeCategory::kOld), 100.0, 1e-9);
   acc.RecordLoss(AgeCategory::kOld);
@@ -73,13 +73,12 @@ TEST(AccountingTest, RatesPer1000PerDay) {
 
 TEST(AccountingTest, SnapshotCounters) {
   CategoryAccounting acc;
-  acc.RecordRepair(AgeCategory::kYoung, 100);
-  acc.RecordRepair(AgeCategory::kYoung, 28);
+  acc.RecordRepair(AgeCategory::kYoung);
+  acc.RecordRepair(AgeCategory::kYoung);
   acc.RecordLoss(AgeCategory::kYoung);
   const auto snap = acc.Snapshot(AgeCategory::kYoung);
   EXPECT_EQ(snap.repairs, 2);
   EXPECT_EQ(snap.losses, 1);
-  EXPECT_EQ(snap.blocks_uploaded, 128);
 }
 
 TEST(TimeSeriesTest, SamplesAtInterval) {
@@ -177,7 +176,7 @@ TEST(CollectorTest, CountsTypedEventsAndBuildsReport) {
   Collector c(/*id_capacity=*/8, /*sample_interval=*/24);
   c.PeerEntered(AgeCategory::kNewcomer);
   c.OnRepairFlagged(0, 0);
-  c.OnRepairStart(AgeCategory::kNewcomer, 5);
+  c.OnRepairStart(AgeCategory::kNewcomer);
   c.OnUpload(5);
   c.OnRepairCleared(0, 7);  // one closed 7-round episode
   c.OnRepairFlagged(0, 7);  // no-op double flag guard lives in the network;

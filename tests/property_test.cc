@@ -2,10 +2,14 @@
 // system's correctness rests on.
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "backup/options.h"
 #include "core/acceptance.h"
 #include "core/lifetime_estimator.h"
 #include "core/maintenance_policy.h"
@@ -13,10 +17,13 @@
 #include "core/strategy_spec.h"
 #include "metrics/registry.h"
 #include "scenario/registry.h"
+#include "scenario/scenario.h"
+#include "scenario/workload.h"
 #include "sim/event_queue.h"
 #include "sweep/report.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
+#include "transfer/link.h"
 #include "util/rng.h"
 
 namespace p2p {
@@ -366,6 +373,111 @@ TEST(MetricsProperty, AggregatedMeanLiesWithinCellRangeForEveryMetric) {
       }
     }
   }
+}
+
+// --- Invariant soak: random worlds x strategies x visibility x links. ---
+//
+// Registry worlds, registered policies, selections and estimators (default
+// parameters), both visibility models, and every link profile plus instant
+// transfers, combined at random and run under RunOptions::check_invariants,
+// which aborts on the first violated partnership, quota, candidate-index or
+// transfer invariant. Every value of every axis is drawn at least once, and
+// every workload event moves inside the run so each join wave, exit and
+// ramp fires. An n = 256-block placement needs at least 257 peers; at 300
+// placements complete, so maintenance repairs and transfer jobs run.
+
+// `count` draws over `values` in random order, each value at least once
+// (count >= values.size()).
+template <typename T>
+std::vector<T> EveryValueInRandomOrder(const std::vector<T>& values,
+                                       size_t count, util::Rng* rng) {
+  std::vector<T> draws;
+  draws.reserve(count);
+  while (draws.size() < count) {
+    draws.push_back(values[draws.size() % values.size()]);
+  }
+  rng->Shuffle(&draws);
+  return draws;
+}
+
+template <typename Strategy>
+std::vector<core::StrategySpec<Strategy>> DefaultSpecs() {
+  std::vector<core::StrategySpec<Strategy>> specs;
+  for (const auto* descriptor : core::StrategyRegistry<Strategy>::List()) {
+    specs.emplace_back();
+    specs.back().name = descriptor->name;
+  }
+  return specs;
+}
+
+TEST(InvariantSoak, RandomCombinationsKeepEveryInvariant) {
+  constexpr size_t kCombinations = 48;
+  constexpr uint32_t kPeers = 300;
+  constexpr sim::Round kRounds = 300;
+  util::Rng rng(20261020);
+
+  std::vector<std::string> links = {""};  // "" = instant transfers
+  for (const std::string& name : transfer::LinkProfileNames()) {
+    links.push_back(name);
+  }
+  const auto world_draws = EveryValueInRandomOrder(scenario::RegistryNames(),
+                                                   kCombinations, &rng);
+  const auto policy_draws = EveryValueInRandomOrder(
+      DefaultSpecs<core::MaintenancePolicy>(), kCombinations, &rng);
+  const auto selection_draws = EveryValueInRandomOrder(
+      DefaultSpecs<core::SelectionStrategy>(), kCombinations, &rng);
+  const auto estimator_draws = EveryValueInRandomOrder(
+      DefaultSpecs<core::LifetimeEstimator>(), kCombinations, &rng);
+  const auto visibility_draws = EveryValueInRandomOrder(
+      std::vector<backup::VisibilityModel>{
+          backup::VisibilityModel::kTimeoutPresumed,
+          backup::VisibilityModel::kInstantOnline},
+      kCombinations, &rng);
+  const auto link_draws = EveryValueInRandomOrder(links, kCombinations, &rng);
+
+  int64_t backed_up_through_transfers = 0;
+  for (size_t i = 0; i < kCombinations; ++i) {
+    util::Result<scenario::Scenario> s =
+        scenario::LoadScenario(world_draws[i]);
+    ASSERT_TRUE(s.ok()) << s.status().ToString();
+    s->peers = kPeers;
+    s->rounds = kRounds;
+    for (scenario::WorkloadEvent& event : s->workload.events) {
+      event.at = rng.UniformInt(1, kRounds / 2);
+      if (event.kind == scenario::WorkloadKind::kRamp) {
+        event.duration = kRounds / 4;
+      }
+    }
+    s->options.policy = policy_draws[i];
+    s->options.selection = selection_draws[i];
+    s->options.estimator = estimator_draws[i];
+    s->options.visibility = visibility_draws[i];
+    s->options.transfer_enabled = !link_draws[i].empty();
+    if (s->options.transfer_enabled) s->options.transfer_link = link_draws[i];
+
+    const std::string label =
+        world_draws[i] + " policy=" + policy_draws[i].name +
+        " selection=" + selection_draws[i].name +
+        " estimator=" + estimator_draws[i].name + " visibility=" +
+        (visibility_draws[i] == backup::VisibilityModel::kInstantOnline
+             ? "instant"
+             : "timeout") +
+        " link=" + (link_draws[i].empty() ? "none" : link_draws[i]);
+    SCOPED_TRACE(label);
+    // A violated invariant aborts the binary; the last line names the run.
+    std::fprintf(stderr, "soak %zu: %s\n", i, label.c_str());
+    ASSERT_TRUE(s->Validate().ok()) << s->Validate().ToString();
+    scenario::RunOptions run;
+    run.check_invariants = true;
+    const scenario::Outcome out = scenario::RunScenario(*s, run);
+    EXPECT_GT(out.final_population, 0);
+    if (s->options.transfer_enabled) {
+      backed_up_through_transfers += out.population.backed_up;
+    }
+  }
+  // With a link, a backup completes only when its transfer job does: the
+  // link axis really ran the scheduler.
+  EXPECT_GT(backed_up_through_transfers, 0);
 }
 
 }  // namespace

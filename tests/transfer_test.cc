@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
@@ -133,29 +134,42 @@ TEST(TransferSchedulerTest, MaintenanceJobDownloadsThenUploads) {
   EXPECT_EQ(done[0].download_rounds, 1);  // enqueued round 0, finished round 1
 }
 
-TEST(TransferSchedulerTest, BackToBackRepairsStayNearAnalyticCeiling) {
+// A job runs in whole one-hour rounds, and the owner's next job starts the
+// round after its predecessor completes, so back-to-back full repairs run at
+// exactly 24 / ceil(delta_repair / 3600 s) per day on every link - never above
+// the analytic 86400 / delta_repair. On dsl-2009 (delta_repair = 4,608 s)
+// that is 12/day against the paper's 18.75: the whole gap is quantization.
+TEST(TransferSchedulerTest, BackToBackRepairsRunAtTheRoundQuantizedCeiling) {
   constexpr uint32_t kPeers = 130;
-  TransferScheduler sched = MakeScheduler(net::LinkProfile::Dsl2009(), kPeers);
-  FakeDirectory directory(kPeers);
-  for (PeerId src = 1; src <= 128; ++src) directory.sources_[0].push_back(src);
-
-  // Run full d = 128 repairs back to back and measure the per-day ceiling.
-  const double analytic = sched.model().MaxRepairsPerDay(kK);  // 18.75
-  sim::Round now = 0;
-  int ticks = 0;
   constexpr int kJobs = 6;
-  std::vector<TransferCompletion> done;
-  for (int job = 0; job < kJobs; ++job) {
-    sched.Enqueue(0, 1, /*initial=*/false, kK, now);
-    while (sched.HasJob(0)) {
-      done.clear();
-      sched.Tick(++now, directory, &done);
-      ++ticks;
+  for (const std::string& name : LinkProfileNames()) {
+    SCOPED_TRACE(name);
+    const util::Result<net::LinkProfile> link = FindLinkProfile(name);
+    ASSERT_TRUE(link.ok());
+    TransferScheduler sched = MakeScheduler(*link, kPeers);
+    FakeDirectory directory(kPeers);
+    for (PeerId src = 1; src <= 128; ++src) {
+      directory.sources_[0].push_back(src);
     }
+
+    sim::Round now = 0;
+    std::vector<TransferCompletion> done;
+    for (int job = 0; job < kJobs; ++job) {
+      sched.Enqueue(0, 1, /*initial=*/false, kK, now);
+      while (sched.HasJob(0)) {
+        done.clear();
+        sched.Tick(++now, directory, &done);
+      }
+    }
+
+    const net::RepairCostModel model(*link, kArchiveBytes, kK, kM);
+    const double rounds_per_repair =
+        std::ceil(model.RepairSeconds(kK) / 3600.0);
+    EXPECT_EQ(static_cast<double>(now), kJobs * rounds_per_repair);
+    const double measured = 24.0 * kJobs / static_cast<double>(now);
+    EXPECT_DOUBLE_EQ(measured, 24.0 / rounds_per_repair);
+    EXPECT_LE(measured, model.MaxRepairsPerDay(kK) + 1e-9);
   }
-  const double measured = 24.0 * kJobs / ticks;  // 24 rounds per day
-  EXPECT_LE(measured, analytic + 1e-9);     // rounds only add overhead
-  EXPECT_GE(measured, analytic / 2.0);      // within 2x of the paper's <= 20
 }
 
 TEST(TransferSchedulerTest, FairShareSplitsASharedSourceUplink) {
